@@ -1,11 +1,11 @@
 """DES kernel event-throughput microbenchmarks and the gen-2 A/B gate.
 
 Measures the raw event rate of :mod:`repro.sim.kernel` ("generation 2":
-front-slot scheduler, event recycling, batched delivery) on two synthetic
-workloads and on one full-stack run, then writes the machine-readable
-perf report ``BENCH_simperf.json`` at the repository root (the per-figure
-wall-clock and cache sections are appended by ``conftest.py`` at session
-end, so this file is the report's anchor).
+front-slot scheduler, event recycling) on two synthetic workloads and on
+one full-stack run, then writes the machine-readable perf report
+``BENCH_simperf.json`` at the repository root (the per-figure wall-clock
+and cache sections are appended by ``conftest.py`` at session end, so
+this file is the report's anchor).
 
 The A/B baseline is the **frozen pre-gen-2 kernel** checked in as
 ``benchmarks/_pr2_kernel.py``: every workload runs on both kernels, in

@@ -8,10 +8,9 @@ two subprocesses:
 
 * **post** -- the installed gen-2 kernel, defaults as shipped;
 * **pre**  -- ``benchmarks/_pr2_kernel.py`` installed as
-  ``repro.sim.kernel`` *before* any other repro import, with batched
-  delivery disabled (the frozen Event class has no ``resolve()``).  The
-  zero-copy payload path stays gen-2 in both runs, so the reported
-  speedup *understates* the full PR delta.
+  ``repro.sim.kernel`` *before* any other repro import.  Everything
+  above the kernel is the same code in both runs, so the two differ
+  only in the kernel.
 
 and merges a ``kernel_ab_fullstack`` section into ``BENCH_simperf.json``.
 
@@ -48,16 +47,6 @@ def _child(kernel: str) -> None:
         sys.modules["repro.sim.kernel"] = mod
         spec.loader.exec_module(mod)
     from repro.bench.appbench import hashtable_rate
-    if kernel == "pre":
-        # The frozen Event class has no resolve(); route every packet
-        # through the unbatched per-packet delivery path.
-        from repro.machine.network import Network
-
-        def _unbatched(self, src_node, dst_node, deliver_time, ev):
-            ev.succeed(deliver_time,
-                       delay=max(0, deliver_time - self.env.now))
-
-        Network._deliver_at = _unbatched
     best = None
     rate = 0.0
     for _ in range(ROUNDS):
@@ -94,7 +83,7 @@ def main() -> int:
     section = {
         "workload": f"fig7a hashtable {VARIANT} p={P}",
         "note": "same-machine wall A/B, frozen pre-gen2 kernel "
-                "(benchmarks/_pr2_kernel.py, unbatched) vs gen2, "
+                "(benchmarks/_pr2_kernel.py) vs gen2, "
                 f"best of {ROUNDS}",
         "pre_wall_s": results["pre"]["wall_s"],
         "post_wall_s": results["post"]["wall_s"],

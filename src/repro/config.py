@@ -27,18 +27,11 @@ class MachineConfig:
         enough for the requested number of nodes.
     cpu_ghz:
         Core clock used to convert instruction counts to nanoseconds.
-    batch_delivery:
-        Deliver same-edge packets completing at the same simulated tick
-        through one shared kernel event (a carrier carrying the packet
-        vector) instead of one event per packet.  Per-packet delivery
-        times are identical either way; ``False`` restores the pre-gen2
-        one-event-per-packet schedule exactly.
     """
 
     ranks_per_node: int = 32
     torus_shape: tuple[int, int, int] | None = None
     cpu_ghz: float = 2.3
-    batch_delivery: bool = True
 
     def nodes_for(self, nranks: int) -> int:
         """Number of nodes needed to host ``nranks`` processes."""
@@ -74,8 +67,6 @@ class SimConfig:
         derive from it.
     max_events:
         Hard cap on processed events -- a runaway-protocol backstop.
-    trace:
-        Record an event trace (slower; used by tests and debugging).
     watchdog_interval:
         Events between progress-watchdog checks (0 disables the watchdog).
         The watchdog is a pure observer: it never schedules events or
@@ -93,7 +84,6 @@ class SimConfig:
 
     seed: int = 0xF0_3131  # "fo" MPI-3.1 :-)
     max_events: int = 200_000_000
-    trace: bool = False
     watchdog_interval: int = 800
     watchdog_stalls: int = 3
     scheduler: str = "gen2"

@@ -15,11 +15,24 @@ channels), remote-completion *times* are known at issue; waiting is then a
 single timeout rather than per-packet events.  Target-memory mutation still
 happens via an event callback at the delivery instant, so reads at the
 target observe writes in true simulated-time order.
+
+Every op body -- put chunking and payload capture, the get landing
+closure, the AMO effects, the handle, FIFO admission and the CPU wait --
+is written once, in :class:`DmappEndpoint`.  The wire legs go through
+three transmission hooks: :meth:`~DmappEndpoint._deliver_reliably`
+(a request whose effect runs at delivery, then the ack),
+:meth:`~DmappEndpoint._fetch` (a get's request plus the target NIC's
+response leg) and :meth:`~DmappEndpoint._stream` (a streamed AMO through
+the target's AMO engine).  On a reliable fabric each hook makes one
+attempt with no fate draw.  :class:`ResilientDmappEndpoint` overrides
+only the hooks (seeded-fate retry loops), the quarantine check, the
+exactly-once AMO wrapper and one FT-restore wrapper around the op bodies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -100,9 +113,6 @@ class DmappEndpoint:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _target_node(self, rank: int) -> int:
-        return self.rank_map.node_of(rank)
-
     def _wire_back(self, target_node: int) -> float:
         return self.network.wire(target_node, self.node)
 
@@ -121,8 +131,94 @@ class DmappEndpoint:
                            handle.remote_complete, nbytes)
         return handle
 
-    def _resolve(self, desc: MemDescriptor):
-        return self.reg_tables[desc.rank].resolve(desc)
+    # ------------------------------------------------------------------
+    # transmission hooks (one attempt each on a reliable fabric)
+    # ------------------------------------------------------------------
+    def _deliver_reliably(self, tnode: int, nbytes: int, effect, kind: str,
+                          target_rank: int, is_amo: bool = False):
+        """Send one request whose ``effect(t)`` runs at delivery.
+
+        Returns ``(inject_end, complete)``: when the origin NIC drained
+        the payload, and when the ack is back at the origin.
+        """
+        net = self.network
+        window = net.occupy_injection(self.node, nbytes)
+        delivery, _ev = net.packet(self.node, tnode, nbytes,
+                                   inject_window=window, is_amo=is_amo,
+                                   on_deliver=effect)
+        return window[1], int(round(delivery + self._wire_back(tnode)))
+
+    def _fetch(self, tnode: int, nbytes: int, target_rank: int):
+        """Get round trip: a header-only request, then the response leg.
+        Returns ``(inject_end, data_arrival)``."""
+        net = self.network
+        window = net.occupy_injection(self.node, _HEADER_BYTES)
+        req_delivery, _ev = net.packet(self.node, tnode, _HEADER_BYTES,
+                                       inject_window=window)
+        resp_end = self._respond(tnode, req_delivery, nbytes)
+        return window[1], int(round(resp_end + self._wire_back(tnode)))
+
+    def _stream(self, tnode: int, nbytes: int, n: int, effect, kind: str,
+                target_rank: int):
+        """One streamed-AMO packet; returns ``(inject_end, complete)``."""
+        window = self.network.occupy_injection(self.node, nbytes)
+        delivery = self._amo_engine(tnode, window[1], n)
+        self._at(delivery, effect)
+        return window[1], int(round(delivery + self._wire_back(tnode)))
+
+    def _exactly_once(self, handle: DmappHandle, effect, seq: int):
+        """Guard an atomic's target-side effect, issued as the origin's
+        ``seq``-th atomic, against re-application by retransmits (a
+        reliable fabric never retransmits)."""
+        return effect
+
+    # -- the target-side legs both transports share ----------------------
+    def _respond(self, tnode: int, req_delivery: int, nbytes: int) -> int:
+        """The target NIC reads memory and streams a get's response back,
+        sharing the target's injection bandwidth with its own outbound
+        traffic (small responses use the FMA path).  Returns when the
+        response has drained from the target NIC."""
+        net = self.network
+        p = net.params
+        resp_ready = req_delivery + p.get_target_overhead
+        if net.injector is not None:
+            # A stalled target NIC serves the response after the stall.
+            resp_ready = max(resp_ready, net.injector.stall_release(
+                tnode, int(round(resp_ready))))
+        nic = net.nic(tnode)
+        resp_chan = nic.fma if nbytes <= p.fma_threshold else nic.bte
+        _resp_start, resp_end = resp_chan.occupy(
+            int(round(max(p.nic_packet_gap, nbytes * p.get_gap_per_byte))),
+            earliest=int(round(resp_ready)))
+        return resp_end
+
+    def _amo_engine(self, tnode: int, inj_end: int, n: int,
+                    extra_delay_ns: int = 0) -> int:
+        """One packet of ``n`` AMOs through the target's AMO engine
+        (``amo_gap`` per element); returns the delivery time.  Bandwidth
+        was paid at injection, so the head arrives with the tail."""
+        net = self.network
+        p = net.params
+        wire = (p.wire_latency(net.hops(self.node, tnode)) + p.nic_latency
+                + net._noise() + extra_delay_ns)
+        head = inj_end + wire
+        if net.injector is not None:
+            head = max(head, net.injector.stall_release(tnode,
+                                                        int(round(head))))
+        chan = net.nic(tnode).amo_engine
+        start = max(int(round(head)), chan.busy_until)
+        chan.busy_until = start + int(round(p.amo_gap * n))
+        chan.total_busy += int(round(p.amo_gap * n))
+        net.counters.count_service(tnode)
+        return chan.busy_until + int(round(p.amo_service))
+
+    def _at(self, t: int, effect) -> None:
+        """Run a target-side ``effect`` at time ``t`` (for legs that do
+        not go through :meth:`Network.packet`)."""
+        env = self.env
+        ev = env.event(name="amo-stream")
+        ev.callbacks.append(lambda _e: effect(env.now))
+        ev.succeed(delay=max(0, t - env.now))
 
     # ------------------------------------------------------------------
     # put
@@ -133,53 +229,48 @@ class DmappEndpoint:
 
         Charges the origin process for injection backpressure (this is what
         bounds the message rate at 1/o_inject) and captures ``data`` at
-        issue time, as the hardware DMA would.
+        issue time, as the hardware DMA would.  Payloads above
+        ``max_chunk`` go out as several packets.
         """
         payload = _as_payload(data)
-        seg = self._resolve(desc)
+        seg = self.reg_tables[desc.rank].resolve(desc)
         seg._check(offset, payload.nbytes)  # fail at issue, like a bad rkey
         net = self.network
-        tnode = self._target_node(desc.rank)
-        handle = DmappHandle("put", 0, 0)
+        tnode = self.rank_map.node_of(desc.rank)
         total = payload.nbytes
         chunk = net.params.max_chunk
         pos = 0
-        last_delivery = self.env.now
-        cpu_free = self.env.now
+        complete = self.env.now
         while True:
             n = min(chunk, total - pos) if total else 0
-            inj_start, inj_end = net.occupy_injection(self.node, max(1, n))
-            # The CPU blocks for the descriptor write, or -- when the
-            # injection FIFO is full -- until an older descriptor drained.
-            admit = net.injection_admit(self.node, inj_end, max(1, n))
-            cpu_free = max(self.env.now + int(round(net.params.o_inject)),
-                           admit)
             piece = payload[pos:pos + n]
             off = offset + pos
 
             def _write(_t, seg=seg, off=off, piece=piece):
-                seg.write(off, piece)
+                seg.write(off, piece)  # idempotent: retransmits re-write
                 if on_applied is not None:
                     on_applied(off, piece)
 
-            delivery, _ev = net.packet(
-                self.node, tnode, max(1, n), inject_window=(inj_start, inj_end),
-                on_deliver=_write)
+            inj_end, done = self._deliver_reliably(tnode, max(1, n), _write,
+                                                   "put", desc.rank)
+            # The CPU blocks for the descriptor write, or -- when the
+            # injection FIFO is full -- until an older descriptor drained.
+            admit = net.injection_admit(self.node, inj_end, max(1, n))
             net.counters.count_issue(self.rank, "put", n)
             # Chunks can complete out of order (a small tail chunk takes
             # the FMA path while bulk chunks drain on the BTE): remote
-            # completion is the MAX delivery, not the last one.
-            last_delivery = max(last_delivery, delivery)
+            # completion is the MAX over chunks, not the last one.
+            if done > complete:
+                complete = done
             pos += n
             if pos >= total:
-                handle.local_complete = inj_end
                 break
-        handle.remote_complete = int(round(
-            last_delivery + self._wire_back(tnode)))
-        self._track(handle, desc.rank, total)
+        handle = self._track(DmappHandle("put", inj_end, complete),
+                             desc.rank, total)
         # The CPU is blocked only until the NIC accepted the descriptor
         # (o_inject); the DMA drain itself overlaps with computation.
-        wait = cpu_free - self.env.now
+        wait = max(self.env.now + int(round(net.params.o_inject)),
+                   admit) - self.env.now
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
@@ -188,11 +279,6 @@ class DmappEndpoint:
         """Explicit-nonblocking put (same cost; waitable handle)."""
         return (yield from self.put_nbi(desc, offset, data))
 
-    def put_b(self, desc: MemDescriptor, offset: int, data):
-        """Blocking put: returns at *local* completion (buffer reusable)."""
-        handle = yield from self.put_nbi(desc, offset, data)
-        return handle
-
     # ------------------------------------------------------------------
     # get
     # ------------------------------------------------------------------
@@ -200,36 +286,16 @@ class DmappEndpoint:
                 out: np.ndarray | None = None):
         """Implicit-nonblocking get; data lands in ``out`` (or the handle's
         ``result``) at remote completion."""
-        seg = self._resolve(desc)
+        seg = self.reg_tables[desc.rank].resolve(desc)
         seg._check(offset, nbytes)
-        net = self.network
-        p = net.params
-        tnode = self._target_node(desc.rank)
-        # Request packet (header only) travels to the target NIC ...
-        inj_start, inj_end = net.occupy_injection(self.node, _HEADER_BYTES)
-        req_delivery, _ = net.packet(self.node, tnode, _HEADER_BYTES,
-                                     inject_window=(inj_start, inj_end))
-        # ... the target NIC reads memory and streams the response back,
-        # sharing the target's bulk-injection bandwidth with its own
-        # outbound traffic (small responses use the FMA path).
-        resp_ready = req_delivery + p.get_target_overhead
-        resp_chan = (self.network.nic(tnode).fma
-                     if nbytes <= p.fma_threshold
-                     else self.network.nic(tnode).bte)
-        _resp_start, resp_end = resp_chan.occupy(
-            int(round(max(p.nic_packet_gap, nbytes * p.get_gap_per_byte))),
-            earliest=int(round(resp_ready)))
-        wire = self._wire_back(tnode)
-        data_arrival = int(round(resp_end + wire))
-
-        handle = DmappHandle("get", inj_end, data_arrival)
         if out is not None and out.nbytes != nbytes:
             raise SimulationError(
                 f"get out-buffer is {out.nbytes} B, expected {nbytes}")
+        inj_end, data_arrival = self._fetch(
+            self.rank_map.node_of(desc.rank), nbytes, desc.rank)
+        handle = DmappHandle("get", inj_end, data_arrival)
 
-        # Memory is read at the target at resp_start, landed at data_arrival.
-        ev = self.env.event(name="get-data")
-
+        # Memory is read at the target and landed at data_arrival.
         def _read_at_target(event):
             if out is not None and out.flags["C_CONTIGUOUS"]:
                 # Zero-copy landing: one slice copy from target memory
@@ -243,13 +309,15 @@ class DmappEndpoint:
             if out is not None:
                 out.view(np.uint8).ravel()[:] = data
 
+        ev = self.env.event(name="get-data")
         ev.callbacks.append(_read_at_target)
         ev.succeed(delay=max(0, data_arrival - self.env.now))
+        net = self.network
         net.counters.count_issue(self.rank, "get", nbytes)
         self._track(handle, desc.rank, nbytes)
         admit = net.injection_admit(self.node, inj_end, _HEADER_BYTES)
-        cpu_free = max(self.env.now + int(round(p.o_inject)), admit)
-        wait = cpu_free - self.env.now
+        wait = max(self.env.now + int(round(net.params.o_inject)),
+                   admit) - self.env.now
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
@@ -265,42 +333,26 @@ class DmappEndpoint:
     # ------------------------------------------------------------------
     def amo_nbi(self, target_rank: int, cells: AtomicArray, idx: int,
                 op: str, operand: int, operand2: int = 0, fetch: bool = False,
-                on_applied=None):
+                on_applied=None, *, seq: int = 0):
         """One 8-byte AMO at the target NIC.
 
         ``op='cas'`` uses ``operand`` as compare and ``operand2`` as swap.
         With ``fetch=True`` the old value is available in ``handle.result``
-        once the handle completes.
+        once the handle completes.  ``seq`` is the atomic's per-origin
+        sequence number (used only by the resilient transport's
+        exactly-once replay cache).
         """
-        net = self.network
-        tnode = self._target_node(target_rank)
-        inj_start, inj_end = net.occupy_injection(self.node, _AMO_BYTES)
-
-        handle = DmappHandle("amo", inj_end, 0)
-
-        def _execute(_t):
-            if op == "cas":
-                old = cells.cas(idx, operand, operand2)
-            else:
-                old = cells.apply(idx, op, operand)
-            handle.result = old
-            if on_applied is not None:
-                on_applied(old)
-
-        delivery, _ = net.packet(self.node, tnode, _AMO_BYTES,
-                                 inject_window=(inj_start, inj_end),
-                                 is_amo=True, on_deliver=_execute)
-        handle.remote_complete = int(round(delivery + self._wire_back(tnode)))
-        net.counters.count_issue(self.rank, f"amo:{op}", 8)
-        self._track(handle, target_rank, 8)
-        admit = net.injection_admit(self.node, inj_end, _AMO_BYTES)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)), admit)
-        wait = cpu_free - self.env.now
+        if op == "cas":
+            mutate = partial(cells.cas, idx, operand, operand2)
+        else:
+            mutate = partial(cells.apply, idx, op, operand)
+        handle, wait = self._amo(target_rank, "amo", f"amo:{op}", mutate,
+                                 on_applied, seq)
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
 
-    def amo_custom_nbi(self, target_rank: int, mutate):
+    def amo_custom_nbi(self, target_rank: int, mutate, *, seq: int = 0):
         """Protocol-level chained AMO: run ``mutate()`` atomically at the
         target NIC at delivery time (one injection).
 
@@ -309,26 +361,36 @@ class DmappEndpoint:
         slot, Figure 2c) uses this.  ``mutate`` returns a value exposed in
         ``handle.result``.
         """
-        net = self.network
-        tnode = self._target_node(target_rank)
-        inj_start, inj_end = net.occupy_injection(self.node, _AMO_BYTES)
-        handle = DmappHandle("amo-custom", inj_end, 0)
-
-        def _execute(_t):
-            handle.result = mutate()
-
-        delivery, _ = net.packet(self.node, tnode, _AMO_BYTES,
-                                 inject_window=(inj_start, inj_end),
-                                 is_amo=True, on_deliver=_execute)
-        handle.remote_complete = int(round(delivery + self._wire_back(tnode)))
-        net.counters.count_issue(self.rank, "amo:custom", 8)
-        self._track(handle, target_rank, 8)
-        admit = net.injection_admit(self.node, inj_end, _AMO_BYTES)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)), admit)
-        wait = cpu_free - self.env.now
+        handle, wait = self._amo(target_rank, "amo-custom", "amo:custom",
+                                 mutate, None, seq)
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
+
+    def _amo(self, target_rank: int, kind: str, label: str, mutate,
+             on_applied, seq: int) -> tuple[DmappHandle, int]:
+        """Issue one single-packet AMO: ``mutate()`` runs at the target
+        NIC and its return value is the handle's result.  Returns the
+        handle and how long the issuing CPU is blocked."""
+        handle = DmappHandle(kind, 0, 0)
+
+        def _execute(_t):
+            old = handle.result = mutate()
+            if on_applied is not None:
+                on_applied(old)
+
+        inj_end, complete = self._deliver_reliably(
+            self.rank_map.node_of(target_rank), _AMO_BYTES,
+            self._exactly_once(handle, _execute, seq), label, target_rank,
+            is_amo=True)
+        handle.local_complete = inj_end
+        handle.remote_complete = complete
+        net = self.network
+        net.counters.count_issue(self.rank, label, 8)
+        self._track(handle, target_rank, 8)
+        admit = net.injection_admit(self.node, inj_end, _AMO_BYTES)
+        return handle, max(self.env.now + int(round(net.params.o_inject)),
+                           admit) - self.env.now
 
     def amo_b(self, target_rank: int, cells: AtomicArray, idx: int,
               op: str, operand: int, operand2: int = 0, on_applied=None):
@@ -341,7 +403,7 @@ class DmappEndpoint:
 
     def amo_stream_nbi(self, target_rank: int, cells: AtomicArray,
                        base_idx: int, op: str, operands, fetch: bool = False,
-                       on_applied=None):
+                       on_applied=None, *, seq: int = 0):
         """Streamed AMOs over consecutive cells (foMPI accelerated
         accumulate): one injection, AMO-engine occupancy per element.
 
@@ -351,15 +413,9 @@ class DmappEndpoint:
         n = len(ops)
         if n == 0:
             raise SimulationError("empty AMO stream")
-        net = self.network
-        p = net.params
-        tnode = self._target_node(target_rank)
         nbytes = 8 * n
-        inj_start, inj_end = net.occupy_injection(self.node, nbytes)
-        admit = net.injection_admit(self.node, inj_end, nbytes)
-        cpu_free = max(self.env.now + int(round(p.o_inject)), admit)
-
-        handle = DmappHandle("amo-stream", inj_end, 0)
+        label = f"amo-stream:{op}"
+        handle = DmappHandle("amo-stream", 0, 0)
 
         def _execute(_t):
             old = [cells.apply(base_idx + i, op, v) for i, v in enumerate(ops)]
@@ -368,23 +424,17 @@ class DmappEndpoint:
             if on_applied is not None:
                 on_applied(old)
 
-        # One packet; AMO engine busy amo_gap per element.
-        wire = (p.wire_latency(net.hops(self.node, tnode)) + p.nic_latency
-                + net._noise())
-        head = inj_end + wire  # tail arrival; bandwidth paid at injection
-        chan = net.nic(tnode).amo_engine
-        start = max(int(round(head)), chan.busy_until)
-        chan.busy_until = start + int(round(p.amo_gap * n))
-        chan.total_busy += int(round(p.amo_gap * n))
-        delivery = chan.busy_until + int(round(p.amo_service))
-        ev = self.env.event(name="amo-stream")
-        ev.callbacks.append(lambda _e: _execute(self.env.now))
-        ev.succeed(delay=max(0, delivery - self.env.now))
-        net.counters.count_service(tnode)
-        net.counters.count_issue(self.rank, f"amo-stream:{op}", nbytes)
-        handle.remote_complete = int(round(delivery + self._wire_back(tnode)))
+        inj_end, complete = self._stream(
+            self.rank_map.node_of(target_rank), nbytes, n,
+            self._exactly_once(handle, _execute, seq), label, target_rank)
+        handle.local_complete = inj_end
+        handle.remote_complete = complete
+        net = self.network
+        net.counters.count_issue(self.rank, label, nbytes)
         self._track(handle, target_rank, nbytes)
-        wait = cpu_free - self.env.now
+        admit = net.injection_admit(self.node, inj_end, nbytes)
+        wait = max(self.env.now + int(round(net.params.o_inject)),
+                   admit) - self.env.now
         if wait > 0:
             yield self.env.timeout(wait)
         return handle
@@ -433,17 +483,18 @@ class DmappEndpoint:
 class ResilientDmappEndpoint(DmappEndpoint):
     """Hardened DMAPP transport for faulty fabrics.
 
-    Every operation is sequence-numbered and transmitted until its effect
-    is applied *and* acknowledged, or until the retry budget is exhausted:
+    Every operation is transmitted until its effect is applied *and*
+    acknowledged, or until the retry budget is exhausted:
 
     * per-op deadlines: a missing ack after ``op_deadline_ns`` triggers a
       NIC-driven retransmission (the issuing CPU is charged only for the
       first attempt's descriptor write -- recovery overlaps computation);
     * retransmits are idempotent for put/get (re-writing the same bytes /
-      re-reading) and exactly-once for AMOs: the injector caches the
-      result keyed by ``(origin_rank, seq)``, so a replayed atomic whose
-      first copy took effect (only the ack was lost) returns the cached
-      old value instead of re-applying;
+      re-reading) and exactly-once for AMOs: each atomic carries a
+      sequence number and the injector caches its result keyed by
+      ``(origin_rank, seq)``, so a replayed atomic whose first copy took
+      effect (only the ack was lost) returns the cached old value
+      instead of re-applying;
     * retransmission attempts back off exponentially (capped) with seeded
       jitter, so replay timing is deterministic for a given seed + plan;
     * :class:`~repro.errors.DeadlineError` is raised after
@@ -451,6 +502,10 @@ class ResilientDmappEndpoint(DmappEndpoint):
       :class:`~repro.errors.NodeCrashedError` when the target node is
       known to have fail-stopped (quarantine: ops to crashed nodes fail
       fast without touching the wire).
+
+    The op bodies are :class:`DmappEndpoint`'s; this class overrides only
+    the transmission hooks, the exactly-once wrapper, and the public ops
+    to route them through :meth:`_restoring`.
     """
 
     def __init__(self, env, rank, network, rank_map, reg_tables,
@@ -458,14 +513,67 @@ class ResilientDmappEndpoint(DmappEndpoint):
         super().__init__(env, rank, network, rank_map, reg_tables)
         self.injector = injector
         self.fault_config = fault_config
+        # Per-origin AMO sequence numbers (checkpointed by repro.ft, so a
+        # restarted rank re-issues its atomics under the same numbers).
         self._op_seq = 0
 
     # ------------------------------------------------------------------
-    # resilience machinery
+    # op wrappers: quarantine + FT restore (AMOs also draw their seq)
     # ------------------------------------------------------------------
+    def put_nbi(self, desc: MemDescriptor, offset: int, data,
+                on_applied=None):
+        return (yield from self._restoring(
+            desc.rank, "put", DmappEndpoint.put_nbi, desc, offset, data,
+            on_applied))
+
+    def get_nbi(self, desc: MemDescriptor, offset: int, nbytes: int,
+                out: np.ndarray | None = None):
+        return (yield from self._restoring(
+            desc.rank, "get", DmappEndpoint.get_nbi, desc, offset, nbytes,
+            out))
+
+    def amo_nbi(self, target_rank: int, cells: AtomicArray, idx: int,
+                op: str, operand: int, operand2: int = 0,
+                fetch: bool = False, on_applied=None):
+        return (yield from self._restoring(
+            target_rank, f"amo:{op}", DmappEndpoint.amo_nbi, target_rank,
+            cells, idx, op, operand, operand2, fetch, on_applied,
+            seq=self._next_seq()))
+
+    def amo_custom_nbi(self, target_rank: int, mutate):
+        return (yield from self._restoring(
+            target_rank, "amo:custom", DmappEndpoint.amo_custom_nbi,
+            target_rank, mutate, seq=self._next_seq()))
+
+    def amo_stream_nbi(self, target_rank: int, cells: AtomicArray,
+                       base_idx: int, op: str, operands,
+                       fetch: bool = False, on_applied=None):
+        return (yield from self._restoring(
+            target_rank, f"amo-stream:{op}", DmappEndpoint.amo_stream_nbi,
+            target_rank, cells, base_idx, op, operands, fetch, on_applied,
+            seq=self._next_seq()))
+
     def _next_seq(self) -> int:
         self._op_seq += 1
         return self._op_seq
+
+    def _restoring(self, target_rank: int, kind: str, body, *args, **kw):
+        """Run one op ``body``, refusing quarantined targets.  With
+        rollback recovery on, a crashed-but-recoverable target is waited
+        out and the body re-run -- under the same ``seq``, so the replay
+        cache deduplicates an atomic whose first copy already landed
+        (``kw`` carries an atomic's ``seq`` to ``body``)."""
+        while True:
+            try:
+                # A restore may have moved the target to a spare node.
+                self._quarantine_check(self.rank_map.node_of(target_rank),
+                                       kind, target_rank)
+                return (yield from body(self, *args, **kw))
+            except NodeCrashedError as exc:
+                if self.ft is None:
+                    raise
+                yield from self.ft.pause_for_restore(self.rank, target_rank,
+                                                     exc)
 
     def _quarantine_check(self, tnode: int, op: str, target_rank: int) -> None:
         """Fail fast on ops addressed to a node already known crashed."""
@@ -476,27 +584,47 @@ class ResilientDmappEndpoint(DmappEndpoint):
                 f"{op} from rank {self.rank} to rank {target_rank} refused "
                 f"(node quarantined)")
 
-    def _deliver_reliably(self, tnode: int, nbytes: int, effect_cb,
-                          kind: str, target_rank: int, *,
-                          is_amo: bool = False):
-        """Transmit one request until applied + acked.
+    def _exactly_once(self, handle: DmappHandle, effect, seq: int):
+        inj = self.injector
+        rank = self.rank
 
-        Returns ``(first_inject_window, complete_time, attempts)``.  The
-        effect callback is attached to every attempt; it must be
-        idempotent (put rewrites) or self-deduplicating (AMOs via the
-        injector's replay cache).
+        def _execute(t):
+            if inj.amo_executed(rank, seq):
+                handle.result = inj.replay_result(rank, seq)
+                return
+            effect(t)
+            inj.record_amo(rank, seq, handle.result)
+
+        return _execute
+
+    # ------------------------------------------------------------------
+    # transmission hooks: seeded fates + retransmission
+    # ------------------------------------------------------------------
+    def _retry(self, tnode: int, kind: str, target_rank: int, attempt, *,
+               fail_fast: bool = True):
+        """Run ``attempt(resend_floor)`` until it returns a completion.
+
+        ``attempt`` draws its fates, transmits once and returns
+        ``(inject_end, complete)`` with ``complete=None`` when the
+        request, its effect or its ack was lost.  Returns the first
+        attempt's ``inject_end`` (the CPU is charged for that one only)
+        and the completion time.  ``fail_fast`` gives up with
+        NodeCrashedError as soon as an attempt injects past the target's
+        crash (every later retransmit would inject even later); streamed
+        AMOs retry until the budget is spent.
         """
         inj = self.injector
         cfg = self.fault_config
-        net = self.network
         env = self.env
         attempts = 0
         resend_floor: int | None = None
-        first_window: tuple[int, int] | None = None
+        first_end: int | None = None
         while True:
             attempts += 1
             if attempts > cfg.max_retries + 1:
                 inj.stats.deadline_failures += 1
+                inj._trace("deadline", self.node, dst=tnode,
+                           attempts=attempts - 1)
                 ct = inj.crash_time(tnode)
                 if ct is not None and env.now >= ct:
                     raise NodeCrashedError(
@@ -505,38 +633,21 @@ class ResilientDmappEndpoint(DmappEndpoint):
                         f"{target_rank} undeliverable")
                 raise DeadlineError(kind, target_rank, attempts - 1,
                                     cfg.op_deadline_ns)
-            data_fate = inj.packet_fate(self.node, tnode)
-            inj_start, inj_end = net.occupy_injection(
-                self.node, max(1, nbytes), earliest=resend_floor)
-            if first_window is None:
-                first_window = (inj_start, inj_end)
-            delivery, ev = net.packet(
-                self.node, tnode, max(1, nbytes),
-                inject_window=(inj_start, inj_end),
-                is_amo=is_amo, fate=data_fate, on_deliver=effect_cb)
-            if ev.name == "packet-deliver":
-                ack_fate = inj.packet_fate(tnode, self.node)
-                if not ack_fate.lost:
-                    complete = int(round(delivery + self._wire_back(tnode)
-                                         + ack_fate.extra_delay_ns))
-                    return first_window, complete, attempts
+            inj_end, complete = attempt(resend_floor)
+            if first_end is None:
+                first_end = inj_end
+            if complete is not None:
+                return first_end, complete
             # Lost somewhere (request dropped/corrupted, target crashed,
             # or the ack went missing): the source NIC times out after the
             # op deadline and retransmits with capped, jittered backoff.
             ct = inj.crash_time(tnode)
-            if ct is not None and inj_end >= ct:
-                # The target died before this attempt could complete, and
-                # every later retransmit injects even later: give up now
-                # instead of burning the whole retry budget (and clogging
-                # the injection channel) against a dead node.
+            if fail_fast and ct is not None and inj_end >= ct:
                 raise NodeCrashedError(
                     tnode, ct,
                     f"{kind} from rank {self.rank} to rank "
                     f"{target_rank} undeliverable (target crashed)")
             inj.stats.retransmits += 1
-            inj._trace("retransmit",
-                       f"{kind} rank{self.rank}->rank{target_rank} "
-                       f"#{attempts}")
             # Draw the backoff exactly once: the obs hook must reuse it,
             # or recording would consume an extra jitter sample and
             # perturb the (seeded, deterministic) retransmit schedule.
@@ -548,391 +659,75 @@ class ResilientDmappEndpoint(DmappEndpoint):
             resend_floor = int(round(inj_end + cfg.op_deadline_ns
                                      + backoff))
 
-    def _pause_or_raise(self, target_rank: int, exc: NodeCrashedError):
-        """FT hook: block until the target's cohort is restored, then let
-        the caller retry; re-raise when the crash is not recoverable."""
-        yield from self.ft.pause_for_restore(self.rank, target_rank, exc)
-
-    # ------------------------------------------------------------------
-    # resilient operations
-    # ------------------------------------------------------------------
-    def put_nbi(self, desc: MemDescriptor, offset: int, data,
-                on_applied=None):
-        if self.ft is None:
-            return (yield from self._put_nbi_inner(desc, offset, data,
-                                                   on_applied))
-        while True:
-            try:
-                return (yield from self._put_nbi_inner(desc, offset, data,
-                                                       on_applied))
-            except NodeCrashedError as exc:
-                yield from self._pause_or_raise(desc.rank, exc)
-
-    def _put_nbi_inner(self, desc: MemDescriptor, offset: int, data,
-                       on_applied=None):
-        payload = _as_payload(data)
-        seg = self._resolve(desc)
-        seg._check(offset, payload.nbytes)
-        net = self.network
-        tnode = self._target_node(desc.rank)
-        self._quarantine_check(tnode, "put", desc.rank)
-        handle = DmappHandle("put", 0, 0)
-        total = payload.nbytes
-        chunk = net.params.max_chunk
-        pos = 0
-        last_complete = self.env.now
-        cpu_free = self.env.now
-        while True:
-            n = min(chunk, total - pos) if total else 0
-            piece = payload[pos:pos + n]
-            off = offset + pos
-
-            def _write(_t, seg=seg, off=off, piece=piece):
-                seg.write(off, piece)  # idempotent: retransmits re-write
-                if on_applied is not None:
-                    on_applied(off, piece)
-
-            (inj_start, inj_end), complete, _att = self._deliver_reliably(
-                tnode, max(1, n), _write, "put", desc.rank)
-            admit = net.injection_admit(self.node, inj_end, max(1, n))
-            cpu_free = max(self.env.now + int(round(net.params.o_inject)),
-                           admit)
-            net.counters.count_issue(self.rank, "put", n)
-            last_complete = max(last_complete, complete)
-            pos += n
-            if pos >= total:
-                handle.local_complete = inj_end
-                break
-        handle.remote_complete = last_complete
-        self._track(handle, desc.rank, total)
-        wait = cpu_free - self.env.now
-        if wait > 0:
-            yield self.env.timeout(wait)
-        return handle
-
-    def get_nbi(self, desc: MemDescriptor, offset: int, nbytes: int,
-                out: np.ndarray | None = None):
-        if self.ft is None:
-            return (yield from self._get_nbi_inner(desc, offset, nbytes, out))
-        while True:
-            try:
-                return (yield from self._get_nbi_inner(desc, offset,
-                                                       nbytes, out))
-            except NodeCrashedError as exc:
-                yield from self._pause_or_raise(desc.rank, exc)
-
-    def _get_nbi_inner(self, desc: MemDescriptor, offset: int, nbytes: int,
-                       out: np.ndarray | None = None):
-        seg = self._resolve(desc)
-        seg._check(offset, nbytes)
-        net = self.network
-        p = net.params
+    def _deliver_reliably(self, tnode: int, nbytes: int, effect, kind: str,
+                          target_rank: int, is_amo: bool = False):
+        """Transmit one request until applied + acked.  ``effect`` rides
+        every attempt; it must be idempotent (put rewrites) or
+        self-deduplicating (AMOs via :meth:`_exactly_once`)."""
         inj = self.injector
-        cfg = self.fault_config
-        tnode = self._target_node(desc.rank)
-        self._quarantine_check(tnode, "get", desc.rank)
-        if out is not None and out.nbytes != nbytes:
-            raise SimulationError(
-                f"get out-buffer is {out.nbytes} B, expected {nbytes}")
+        net = self.network
 
-        attempts = 0
-        resend_floor: int | None = None
-        first_window: tuple[int, int] | None = None
-        data_arrival = self.env.now
-        while True:
-            attempts += 1
-            if attempts > cfg.max_retries + 1:
-                inj.stats.deadline_failures += 1
-                ct = inj.crash_time(tnode)
-                if ct is not None and self.env.now >= ct:
-                    raise NodeCrashedError(
-                        tnode, ct,
-                        f"get from rank {self.rank} to rank {desc.rank} "
-                        f"undeliverable")
-                raise DeadlineError("get", desc.rank, attempts - 1,
-                                    cfg.op_deadline_ns)
-            req_fate = inj.packet_fate(self.node, tnode)
-            inj_start, inj_end = net.occupy_injection(
-                self.node, _HEADER_BYTES, earliest=resend_floor)
-            if first_window is None:
-                first_window = (inj_start, inj_end)
-            req_delivery, req_ev = net.packet(
-                self.node, tnode, _HEADER_BYTES,
-                inject_window=(inj_start, inj_end), fate=req_fate)
-            if req_ev.name == "packet-deliver":
-                resp_fate = inj.packet_fate(tnode, self.node)
-                if not resp_fate.lost:
-                    resp_ready = req_delivery + p.get_target_overhead
-                    resp_ready = max(resp_ready, inj.stall_release(
-                        tnode, int(round(resp_ready))))
-                    resp_chan = (net.nic(tnode).fma
-                                 if nbytes <= p.fma_threshold
-                                 else net.nic(tnode).bte)
-                    _rs, resp_end = resp_chan.occupy(
-                        int(round(max(p.nic_packet_gap,
-                                      nbytes * p.get_gap_per_byte))),
-                        earliest=int(round(resp_ready)))
+        def attempt(resend_floor):
+            fate = inj.packet_fate(self.node, tnode)
+            window = net.occupy_injection(self.node, nbytes,
+                                          earliest=resend_floor)
+            delivery, ev = net.packet(
+                self.node, tnode, nbytes, inject_window=window,
+                is_amo=is_amo, fate=fate, on_deliver=effect)
+            if ev.name == "packet-deliver":
+                ack = inj.packet_fate(tnode, self.node)
+                if not ack.lost:
+                    return window[1], int(round(
+                        delivery + self._wire_back(tnode)
+                        + ack.extra_delay_ns))
+            return window[1], None
+
+        return self._retry(tnode, kind, target_rank, attempt)
+
+    def _fetch(self, tnode: int, nbytes: int, target_rank: int):
+        inj = self.injector
+        net = self.network
+
+        def attempt(resend_floor):
+            fate = inj.packet_fate(self.node, tnode)
+            window = net.occupy_injection(self.node, _HEADER_BYTES,
+                                          earliest=resend_floor)
+            req_delivery, ev = net.packet(
+                self.node, tnode, _HEADER_BYTES, inject_window=window,
+                fate=fate)
+            if ev.name == "packet-deliver":
+                resp = inj.packet_fate(tnode, self.node)
+                if not resp.lost:
+                    resp_end = self._respond(tnode, req_delivery, nbytes)
                     if not inj.node_crashed(tnode, resp_end):
-                        data_arrival = int(round(
+                        return window[1], int(round(
                             resp_end + self._wire_back(tnode)
-                            + resp_fate.extra_delay_ns))
-                        break
-            ct = inj.crash_time(tnode)
-            if ct is not None and inj_end >= ct:
-                # Dead target: no retransmit can ever succeed (see
-                # _deliver_reliably).
-                raise NodeCrashedError(
-                    tnode, ct,
-                    f"get from rank {self.rank} to rank {desc.rank} "
-                    f"undeliverable (target crashed)")
-            inj.stats.retransmits += 1
-            inj._trace("retransmit",
-                       f"get rank{self.rank}->rank{desc.rank} #{attempts}")
-            backoff = inj.backoff_ns(attempts)
-            if self.obs is not None:
-                self.obs.on_retransmit(self.rank, "get", desc.rank,
-                                       self.env.now, attempts,
-                                       int(round(backoff)))
-            resend_floor = int(round(inj_end + cfg.op_deadline_ns
-                                     + backoff))
+                            + resp.extra_delay_ns))
+            return window[1], None
 
-        inj_start, inj_end = first_window
-        handle = DmappHandle("get", inj_end, data_arrival)
-        ev = self.env.event(name="get-data")
+        return self._retry(tnode, "get", target_rank, attempt)
 
-        def _read_at_target(event):
-            if out is not None and out.flags["C_CONTIGUOUS"]:
-                # Zero-copy landing: one slice copy from target memory
-                # straight into the caller's buffer (watch hook included).
-                flat = out.view(np.uint8).ravel()
-                seg.read_into(offset, memoryview(flat.data))
-                handle.result = flat
-                return
-            data = seg.read(offset, nbytes)
-            handle.result = data
-            if out is not None:
-                out.view(np.uint8).ravel()[:] = data
-
-        ev.callbacks.append(_read_at_target)
-        ev.succeed(delay=max(0, data_arrival - self.env.now))
-        net.counters.count_issue(self.rank, "get", nbytes)
-        self._track(handle, desc.rank, nbytes)
-        admit = net.injection_admit(self.node, inj_end, _HEADER_BYTES)
-        cpu_free = max(self.env.now + int(round(p.o_inject)), admit)
-        wait = cpu_free - self.env.now
-        if wait > 0:
-            yield self.env.timeout(wait)
-        return handle
-
-    def amo_nbi(self, target_rank: int, cells: AtomicArray, idx: int,
-                op: str, operand: int, operand2: int = 0,
-                fetch: bool = False, on_applied=None):
-        # Draw the sequence number once, before any attempt: on a
-        # crash-and-restore retry the injector's replay cache then
-        # deduplicates an AMO whose first copy already took effect.
-        seq = self._next_seq()
-        if self.ft is None:
-            return (yield from self._amo_nbi_inner(
-                target_rank, cells, idx, op, operand, operand2, fetch,
-                seq, on_applied))
-        while True:
-            try:
-                return (yield from self._amo_nbi_inner(
-                    target_rank, cells, idx, op, operand, operand2, fetch,
-                    seq, on_applied))
-            except NodeCrashedError as exc:
-                yield from self._pause_or_raise(target_rank, exc)
-
-    def _amo_nbi_inner(self, target_rank: int, cells: AtomicArray, idx: int,
-                       op: str, operand: int, operand2: int, fetch: bool,
-                       seq: int, on_applied=None):
-        net = self.network
+    def _stream(self, tnode: int, nbytes: int, n: int, effect, kind: str,
+                target_rank: int):
         inj = self.injector
-        tnode = self._target_node(target_rank)
-        self._quarantine_check(tnode, f"amo:{op}", target_rank)
-        handle = DmappHandle("amo", 0, 0)
-
-        def _execute(_t):
-            if inj.amo_executed(self.rank, seq):
-                handle.result = inj.replay_result(self.rank, seq)
-                return
-            if op == "cas":
-                old = cells.cas(idx, operand, operand2)
-            else:
-                old = cells.apply(idx, op, operand)
-            inj.record_amo(self.rank, seq, old)
-            handle.result = old
-            if on_applied is not None:
-                on_applied(old)
-
-        (inj_start, inj_end), complete, _att = self._deliver_reliably(
-            tnode, _AMO_BYTES, _execute, f"amo:{op}", target_rank,
-            is_amo=True)
-        handle.local_complete = inj_end
-        handle.remote_complete = complete
-        net.counters.count_issue(self.rank, f"amo:{op}", 8)
-        self._track(handle, target_rank, 8)
-        admit = net.injection_admit(self.node, inj_end, _AMO_BYTES)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)),
-                       admit)
-        wait = cpu_free - self.env.now
-        if wait > 0:
-            yield self.env.timeout(wait)
-        return handle
-
-    def amo_custom_nbi(self, target_rank: int, mutate):
-        seq = self._next_seq()
-        if self.ft is None:
-            return (yield from self._amo_custom_nbi_inner(
-                target_rank, mutate, seq))
-        while True:
-            try:
-                return (yield from self._amo_custom_nbi_inner(
-                    target_rank, mutate, seq))
-            except NodeCrashedError as exc:
-                yield from self._pause_or_raise(target_rank, exc)
-
-    def _amo_custom_nbi_inner(self, target_rank: int, mutate, seq: int):
         net = self.network
-        inj = self.injector
-        tnode = self._target_node(target_rank)
-        self._quarantine_check(tnode, "amo:custom", target_rank)
-        handle = DmappHandle("amo-custom", 0, 0)
 
-        def _execute(_t):
-            if inj.amo_executed(self.rank, seq):
-                handle.result = inj.replay_result(self.rank, seq)
-                return
-            result = mutate()
-            inj.record_amo(self.rank, seq, result)
-            handle.result = result
-
-        (inj_start, inj_end), complete, _att = self._deliver_reliably(
-            tnode, _AMO_BYTES, _execute, "amo:custom", target_rank,
-            is_amo=True)
-        handle.local_complete = inj_end
-        handle.remote_complete = complete
-        net.counters.count_issue(self.rank, "amo:custom", 8)
-        self._track(handle, target_rank, 8)
-        admit = net.injection_admit(self.node, inj_end, _AMO_BYTES)
-        cpu_free = max(self.env.now + int(round(net.params.o_inject)),
-                       admit)
-        wait = cpu_free - self.env.now
-        if wait > 0:
-            yield self.env.timeout(wait)
-        return handle
-
-    def amo_stream_nbi(self, target_rank: int, cells: AtomicArray,
-                       base_idx: int, op: str, operands,
-                       fetch: bool = False, on_applied=None):
-        seq = self._next_seq()
-        if self.ft is None:
-            return (yield from self._amo_stream_nbi_inner(
-                target_rank, cells, base_idx, op, operands, fetch, seq,
-                on_applied))
-        while True:
-            try:
-                return (yield from self._amo_stream_nbi_inner(
-                    target_rank, cells, base_idx, op, operands, fetch, seq,
-                    on_applied))
-            except NodeCrashedError as exc:
-                yield from self._pause_or_raise(target_rank, exc)
-
-    def _amo_stream_nbi_inner(self, target_rank: int, cells: AtomicArray,
-                              base_idx: int, op: str, operands,
-                              fetch: bool, seq: int, on_applied=None):
-        ops = [int(v) for v in np.asarray(operands).ravel()]
-        n = len(ops)
-        if n == 0:
-            raise SimulationError("empty AMO stream")
-        net = self.network
-        p = net.params
-        inj = self.injector
-        cfg = self.fault_config
-        tnode = self._target_node(target_rank)
-        self._quarantine_check(tnode, f"amo-stream:{op}", target_rank)
-        nbytes = 8 * n
-        handle = DmappHandle("amo-stream", 0, 0)
-
-        def _execute(_t):
-            if inj.amo_executed(self.rank, seq):
-                cached = inj.replay_result(self.rank, seq)
-                if fetch:
-                    handle.result = cached
-                return
-            old = [cells.apply(base_idx + i, op, v)
-                   for i, v in enumerate(ops)]
-            arr = np.array(old, dtype=np.uint64) if fetch else None
-            inj.record_amo(self.rank, seq, arr)
-            if fetch:
-                handle.result = arr
-            if on_applied is not None:
-                on_applied(old)
-
-        attempts = 0
-        resend_floor: int | None = None
-        first_window: tuple[int, int] | None = None
-        complete = self.env.now
-        while True:
-            attempts += 1
-            if attempts > cfg.max_retries + 1:
-                inj.stats.deadline_failures += 1
-                ct = inj.crash_time(tnode)
-                if ct is not None and self.env.now >= ct:
-                    raise NodeCrashedError(
-                        tnode, ct,
-                        f"amo-stream from rank {self.rank} to rank "
-                        f"{target_rank} undeliverable")
-                raise DeadlineError(f"amo-stream:{op}", target_rank,
-                                    attempts - 1, cfg.op_deadline_ns)
-            data_fate = inj.packet_fate(self.node, tnode)
-            inj_start, inj_end = net.occupy_injection(
-                self.node, nbytes, earliest=resend_floor)
-            if first_window is None:
-                first_window = (inj_start, inj_end)
-            if not data_fate.drop:
-                wire = (p.wire_latency(net.hops(self.node, tnode))
-                        + p.nic_latency + net._noise()
-                        + data_fate.extra_delay_ns)
-                head = inj_end + wire
-                head = max(head, inj.stall_release(tnode, int(round(head))))
-                chan = net.nic(tnode).amo_engine
-                start = max(int(round(head)), chan.busy_until)
-                chan.busy_until = start + int(round(p.amo_gap * n))
-                chan.total_busy += int(round(p.amo_gap * n))
-                delivery = chan.busy_until + int(round(p.amo_service))
-                net.counters.count_service(tnode)
-                if (not data_fate.corrupt
+        def attempt(resend_floor):
+            fate = inj.packet_fate(self.node, tnode)
+            window = net.occupy_injection(self.node, nbytes,
+                                          earliest=resend_floor)
+            if not fate.drop:
+                delivery = self._amo_engine(tnode, window[1], n,
+                                            fate.extra_delay_ns)
+                if (not fate.corrupt
                         and not inj.node_crashed(tnode, delivery)):
-                    ev = self.env.event(name="amo-stream")
-                    ev.callbacks.append(lambda _e: _execute(self.env.now))
-                    ev.succeed(delay=max(0, delivery - self.env.now))
-                    ack_fate = inj.packet_fate(tnode, self.node)
-                    if not ack_fate.lost:
-                        complete = int(round(
+                    self._at(delivery, effect)
+                    ack = inj.packet_fate(tnode, self.node)
+                    if not ack.lost:
+                        return window[1], int(round(
                             delivery + self._wire_back(tnode)
-                            + ack_fate.extra_delay_ns))
-                        break
-            inj.stats.retransmits += 1
-            inj._trace("retransmit",
-                       f"amo-stream rank{self.rank}->rank{target_rank} "
-                       f"#{attempts}")
-            backoff = inj.backoff_ns(attempts)
-            if self.obs is not None:
-                self.obs.on_retransmit(self.rank, f"amo-stream:{op}",
-                                       target_rank, self.env.now, attempts,
-                                       int(round(backoff)))
-            resend_floor = int(round(inj_end + cfg.op_deadline_ns
-                                     + backoff))
+                            + ack.extra_delay_ns))
+            return window[1], None
 
-        inj_start, inj_end = first_window
-        handle.local_complete = inj_end
-        handle.remote_complete = complete
-        net.counters.count_issue(self.rank, f"amo-stream:{op}", nbytes)
-        self._track(handle, target_rank, nbytes)
-        admit = net.injection_admit(self.node, inj_end, nbytes)
-        cpu_free = max(self.env.now + int(round(p.o_inject)), admit)
-        wait = cpu_free - self.env.now
-        if wait > 0:
-            yield self.env.timeout(wait)
-        return handle
+        return self._retry(tnode, kind, target_rank, attempt,
+                           fail_fast=False)

@@ -19,8 +19,11 @@ backoff jitter and crash/stall state).  Three properties drive the design:
 
 * **Observability.**  Every injected fault and every recovery action is
   counted in :class:`FaultStats` (surfaced through ``RunResult.stats``)
-  and, when a tracer is installed, appended to the event trace so traces
-  show where time went under faults.
+  and, when the run carries observability, marked as a ``cat="fault"``
+  instant on the span timeline (``fault.drop`` on the source NIC's
+  track, ``fault.amo-replay`` on the origin rank's, ...) so traces show
+  where time went under faults.  Instants never schedule and feed no
+  metric counter, so instrumented runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -133,6 +136,9 @@ class FaultInjector:
         self.plan = plan
         self.config = config
         self.env = env
+        # Optional repro.obs.core.Instrumentation, assigned by World like
+        # Network.obs; None records nothing.
+        self.obs = None
         self.stats = FaultStats()
         self._packet_rng = _XorShift(derive_seed(seed, "fault.packet"))
         self._jitter_rng = _XorShift(derive_seed(seed, "fault.jitter"))
@@ -161,18 +167,19 @@ class FaultInjector:
         if plan.drop_prob > 0.0 and self._packet_rng.uniform() < plan.drop_prob:
             fate.drop = True
             self.stats.drops += 1
-            self._trace("drop", f"{src_node}->{dst_node}")
+            self._trace("drop", src_node, dst=dst_node)
             return fate
         if (plan.corrupt_prob > 0.0
                 and self._packet_rng.uniform() < plan.corrupt_prob):
             fate.corrupt = True
             self.stats.corruptions += 1
-            self._trace("corrupt", f"{src_node}->{dst_node}")
+            self._trace("corrupt", src_node, dst=dst_node)
             return fate
         if plan.delay_prob > 0.0 and self._packet_rng.uniform() < plan.delay_prob:
             fate.extra_delay_ns = plan.delay_ns
             self.stats.delays += 1
-            self._trace("delay", f"{src_node}->{dst_node} +{plan.delay_ns}ns")
+            self._trace("delay", src_node, dst=dst_node,
+                        delay_ns=plan.delay_ns)
         return fate
 
     # ------------------------------------------------------------------
@@ -189,7 +196,7 @@ class FaultInjector:
             if st.start_ns <= release < st.end_ns:
                 release = st.end_ns
                 self.stats.stall_waits += 1
-                self._trace("stall", f"node {node} until {release}ns")
+                self._trace("stall", node, until_ns=release)
         return release
 
     # ------------------------------------------------------------------
@@ -209,7 +216,7 @@ class FaultInjector:
     def mark_crashed(self, node: int) -> None:
         if node not in self.stats.crashed_nodes:
             self.stats.crashed_nodes.append(node)
-            self._trace("crash", f"node {node}")
+            self._trace("crash", node)
 
     # ------------------------------------------------------------------
     # retry schedule
@@ -239,13 +246,16 @@ class FaultInjector:
     def replay_result(self, origin_rank: int, seq: int):
         """Cached result of an already-executed atomic (exactly-once)."""
         self.stats.amo_replays_suppressed += 1
-        self._trace("amo-replay", f"rank {origin_rank} seq {seq}")
+        self._trace("amo-replay", origin_rank, track="rank", seq=seq)
         return self._amo_results[(origin_rank, seq)]
 
     # ------------------------------------------------------------------
-    # trace feed
+    # obs feed
     # ------------------------------------------------------------------
-    def _trace(self, kind: str, detail: str) -> None:
-        env = self.env
-        if env is not None and env.tracer is not None:
-            env.tracer.record_fault(env.now, kind, detail)
+    def _trace(self, kind: str, tid: int, track: str = "nic",
+               **args) -> None:
+        """Mark one fault as a ``fault.<kind>`` instant on ``track``
+        ``tid`` (a node's NIC by default)."""
+        if self.obs is not None:
+            self.obs.spans.instant(track, tid, f"fault.{kind}", "fault",
+                                   self.env.now, args)

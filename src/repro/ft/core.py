@@ -425,8 +425,8 @@ class FTRuntime:
                 self._unrecoverable.update(cohort)
                 self.stats.unrecoverable += len(cohort)
                 self.world.injector._trace(
-                    "ft-unrecoverable",
-                    f"rank {r}: no valid checkpoint; cohort {cohort} lost")
+                    "ft-unrecoverable", r, track="rank",
+                    cohort=tuple(cohort))
                 self._fire_restore_events(cohort)
                 return
             recs[r] = rec
@@ -499,9 +499,8 @@ class FTRuntime:
         self.stats.restores += 1
         self.stats.ranks_restored += len(cohort)
         self.stats.restore_ns += env.now - t0
-        inj._trace("ft-restore",
-                   f"ranks {cohort} restored on node {node} "
-                   f"(gen {self._generation})")
+        inj._trace("ft-restore", node, ranks=tuple(cohort),
+                   gen=self._generation)
         obs = self.world.obs
         if obs is not None:
             obs.nic_span(node, "ft.restore", t0, env.now, cat="ft",

@@ -238,8 +238,8 @@ def guarded_free(win):
     except EpochError as exc:
         inj = ctx.world.injector
         inj.stats.degraded_frees += 1
-        inj._trace("degraded-free",
-                   f"win{win.win_id} rank{ctx.rank}: {exc}")
+        inj._trace("degraded-free", ctx.rank, track="rank",
+                   win_id=win.win_id, error=str(exc))
         ctx.env.note_progress()
 
 
@@ -296,8 +296,8 @@ def _revoke_lock_words(world, failed):
             yield env.timeout(rec.revoke_ns)
         ctrl.apply(idx, "add", -delta)  # wakes any watchers of the word
         inj.stats.locks_revoked += 1
-        inj._trace("lock-revoke",
-                   f"win{win_id} word{idx}@rank{target} -= {delta:#x}")
+        inj._trace("lock-revoke", target, track="rank", win_id=win_id,
+                   word=idx, delta=delta)
         env.note_progress()
 
 
@@ -363,7 +363,7 @@ def _mcs_zombie(world, lock, rank: int):
     lock._token = False
     lock.holding = False
     inj.stats.queue_splices += 1
-    inj._trace("mcs-splice", f"rank {rank} spliced out of the queue")
+    inj._trace("mcs-splice", rank, track="rank")
     env.note_progress()
 
 
@@ -396,7 +396,7 @@ def _reclaim(world, failed):
         st.regions.clear()
         st.cache.clear()
         inj.stats.regions_reclaimed += n
-        inj._trace("reclaim", f"win{win_id} rank{r}: {n} dynamic region(s)")
+        inj._trace("reclaim", r, track="rank", win_id=win_id, regions=n)
         env.note_progress()
     win_keys = sorted((k for k in bb
                        if isinstance(k, tuple) and k and k[0] == "winobjs"),
@@ -417,5 +417,6 @@ def _reclaim(world, failed):
                 pass
             win.freed = True
             inj.stats.regions_reclaimed += 1
-            inj._trace("reclaim", f"win{win.win_id} rank{r}: heap segment")
+            inj._trace("reclaim", r, track="rank", win_id=win.win_id,
+                       heap_segment=1)
             env.note_progress()

@@ -157,7 +157,7 @@ class FailureNotifier:
         if delta > 0:
             yield env.timeout(delta)
         inj.stats.failures_detected += 1
-        inj._trace("detect", f"node {node} death confirmed")
+        inj._trace("detect", node)
         t_detect = env.now
         env.note_progress()
 
@@ -187,7 +187,7 @@ class FailureNotifier:
             yield env.timeout(rec.revoke_ns)
         for hook in self._hooks:
             yield from hook(failed_ranks)
-        inj._trace("revoke", f"node {node} state revoked")
+        inj._trace("revoke", node)
         obs = self.world.obs
         if obs is not None:
             # Detection-to-revocation on the dead node's NIC track: the

@@ -12,7 +12,7 @@ from repro.mem.registration import RegistrationTable
 from repro.mpi1.params import Mpi1Params
 from repro.sim.kernel import Environment
 from repro.sim.random import stream
-from repro.sim.trace import OpCounters, Tracer
+from repro.sim.trace import OpCounters
 
 __all__ = ["RankTable", "World"]
 
@@ -101,8 +101,6 @@ class World:
                                strict=not has_crashes,
                                watchdog_interval=self.sim.watchdog_interval,
                                watchdog_stalls=self.sim.watchdog_stalls)
-        if self.sim.trace:
-            self.env.tracer = Tracer()
         # The injector exists only when a FaultPlan is active; every fault
         # hook in the machine/transport layers is behind an ``is None``
         # test, so fault-free runs stay bit-identical to pre-fault code.
@@ -169,9 +167,10 @@ class World:
         self.counters = OpCounters()
         self.network = Network(self.env, self.torus, self.rank_map,
                                self.gemini, self.counters,
-                               injector=self.injector,
-                               batch_delivery=self.machine.batch_delivery)
+                               injector=self.injector)
         self.network.obs = self.obs
+        if self.injector is not None:
+            self.injector.obs = self.obs
         self.spaces = RankTable(nranks, AddressSpace)
         self.reg_tables = RankTable(nranks, RegistrationTable)
         self.mpi_registry: dict = {}

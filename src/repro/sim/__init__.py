@@ -16,7 +16,6 @@ from repro.sim.kernel import (
     Timeout,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.trace import Tracer
 
 __all__ = [
     "Environment",
@@ -28,5 +27,4 @@ __all__ = [
     "Interrupt",
     "Resource",
     "Store",
-    "Tracer",
 ]

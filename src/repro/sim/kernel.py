@@ -47,11 +47,15 @@ checked/observed runs and faulty runs.
 
 Fast-path invariants
 --------------------
-The hot loop (``run(fast=True)``, no tracer) hoists per-event attribute
-lookups into locals, merges the ``max_events`` and watchdog comparisons
-into a single trip compare, disables the cyclic GC for the duration of the
-loop (re-enabled in a ``finally``), and inlines ``Process._resume`` for
-the ubiquitous single-waiter case.
+There is one fast loop: ``run(fast=True)`` without ``until`` (how every
+simulation job runs).  It hoists per-event attribute lookups into locals,
+merges the ``max_events`` and watchdog comparisons into a single trip
+compare, disables the cyclic GC for the duration of the loop (re-enabled
+in a ``finally``), and inlines ``Process._resume`` for the ubiquitous
+single-waiter case.  ``run(until=...)`` -- a stop event or a stop time,
+used by unit tests and interactive stepping -- takes the reference
+``step()`` loop over the same front-slot queue, so its schedule is the
+fast loop's schedule.
 
 Two free lists recycle hot-path objects; both only swap object identity,
 never sequence numbers or values, so they cannot perturb ordering:
@@ -167,21 +171,6 @@ class Event:
             env._front = entry
         else:
             heappush(env._queue, entry)
-        return self
-
-    def resolve(self, value: Any = None) -> "Event":
-        """Mark this event triggered *without* scheduling it.
-
-        Used by holders that deliver the callbacks themselves from inside
-        another event's dispatch (batched link delivery): the value becomes
-        readable immediately, and the holder later runs the callbacks
-        in-line at the delivery tick.  Never use this on an event a process
-        is already yielding on unless you will deliver it yourself.
-        """
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = True
-        self._value = value
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":
@@ -389,7 +378,7 @@ class AnyOf(ConditionEvent):
 
 class Environment:
     __slots__ = ("_now", "_queue", "_front", "_seq", "_nprocesses", "_active",
-                 "_live", "max_events", "strict", "events_processed", "tracer",
+                 "_live", "max_events", "strict", "events_processed",
                  "_timeout_pool", "_event_pool", "progress_marks", "watchdog_interval",
                  "watchdog_stalls", "_wd_next", "_wd_marks", "_wd_stale",
                  "api_sites", "__dict__")
@@ -406,7 +395,6 @@ class Environment:
         self.max_events = max_events
         self.strict = strict
         self.events_processed = 0
-        self.tracer = None  # installed by sim.trace.Tracer when wanted
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
         self.progress_marks = 0
@@ -539,8 +527,6 @@ class Environment:
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         self.events_processed += 1
-        if self.tracer is not None:
-            self.tracer.record(self._now, event)
         for cb in callbacks:
             cb(event)
 
@@ -555,8 +541,8 @@ class Environment:
         if fast:
             if self._front is _HEAP_MODE:
                 self._front = None
-            if self.tracer is None:
-                return self._run_fast(stop_event, stop_time)
+            if stop_event is None and stop_time is None:
+                return self._run_fast()
             return self._run_step(stop_event, stop_time)
         front = self._front
         if front is not _HEAP_MODE:
@@ -588,19 +574,7 @@ class Environment:
                 self._watchdog_check()
         return self._drained(stop_event)
 
-    def _run_fast(self, stop_event: Event | None, stop_time: int | None) -> Any:
-        gc_was = _gc_isenabled()
-        if gc_was:
-            _gc_disable()
-        try:
-            if stop_event is None and stop_time is None:
-                return self._run_fast_nostop()
-            return self._run_fast_stop(stop_event, stop_time)
-        finally:
-            if gc_was:
-                _gc_enable()
-
-    def _run_fast_nostop(self) -> Any:
+    def _run_fast(self) -> Any:
         queue = self._queue
         pop = heappop
         nevents = self.events_processed
@@ -614,6 +588,9 @@ class Environment:
         timeout_cls = Timeout
         event_cls = Event
         process_cls = Process
+        gc_was = _gc_isenabled()
+        if gc_was:
+            _gc_disable()
         try:
             while True:
                 entry = self._front
@@ -697,109 +674,9 @@ class Environment:
                         cb(event)
         finally:
             self.events_processed = nevents
+            if gc_was:
+                _gc_enable()
         return self._drained(None)
-
-    def _run_fast_stop(self, stop_event: Event | None, stop_time: int | None) -> Any:
-        queue = self._queue
-        pop = heappop
-        nevents = self.events_processed
-        max_events = self.max_events
-        wd_interval = self.watchdog_interval
-        wd_next = self._wd_next if wd_interval else 0
-        tpool = self._timeout_pool
-        epool = self._event_pool
-        timeout_cls = Timeout
-        event_cls = Event
-        process_cls = Process
-        check_stop = stop_event is not None
-        check_time = stop_time is not None
-        try:
-            while queue or self._front is not None:
-                if check_stop and stop_event.callbacks is None:
-                    return stop_event._value if stop_event._ok else None
-                if check_time:
-                    front = self._front
-                    nxt = front[0] if front is not None else queue[0][0]
-                    if nxt > stop_time:
-                        self._now = stop_time
-                        return None
-                if nevents >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} "
-                        f"(simulated t={self._now}ns) -- runaway protocol?")
-                entry = self._front
-                if entry is not None:
-                    self._front = None
-                else:
-                    entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                cbs = event.callbacks
-                event.callbacks = None
-                nevents += 1
-                if len(cbs) == 1 and (proc := cbs[0]).__class__ is process_cls:
-                    # Inlined Process._resume for the single-waiter case.
-                    target = proc._target
-                    if target is not event and target is not None \
-                            and target.callbacks is not None:
-                        try:
-                            target.callbacks.remove(proc)
-                        except ValueError:
-                            pass
-                    ecls = event.__class__
-                    if ecls is timeout_cls:
-                        cbs.clear()
-                        event.callbacks = cbs
-                        tpool.append(event)
-                    elif ecls is event_cls and not event.name:
-                        cbs.clear()
-                        event.callbacks = cbs
-                        epool.append(event)
-                    send = proc._send
-                    ev2 = event
-                    while True:
-                        try:
-                            if ev2._ok:
-                                out = send(ev2._value)
-                            else:
-                                out = proc._throw(ev2._value)
-                        except StopIteration as stop:
-                            self._nprocesses -= 1
-                            self._live.discard(proc)
-                            self.progress_marks += 1
-                            proc.succeed(stop.value, priority=URGENT)
-                            break
-                        except BaseException as exc:
-                            self._nprocesses -= 1
-                            self._live.discard(proc)
-                            if self.strict:
-                                proc._ok = False
-                                proc._value = exc
-                                self.schedule(proc, delay=0, priority=URGENT)
-                                raise
-                            proc.fail(exc)
-                            break
-                        try:
-                            ocbs = out.callbacks
-                        except AttributeError:
-                            proc._gen.throw(SimulationError(
-                                f"process {proc.name!r} yielded non-event {out!r}"))
-                            break
-                        if ocbs is not None:
-                            ocbs.append(proc)
-                            proc._target = out
-                            break
-                        ev2 = out
-                else:
-                    for cb in cbs:
-                        cb(event)
-                if wd_interval and nevents >= wd_next:
-                    self.events_processed = nevents
-                    self._watchdog_check()
-                    wd_next = self._wd_next
-        finally:
-            self.events_processed = nevents
-        return self._drained(stop_event)
 
     def _drained(self, stop_event: Event | None) -> Any:
         if stop_event is not None:

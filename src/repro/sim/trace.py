@@ -1,8 +1,7 @@
-"""Event tracing, span recording, and operation counting.
+"""Span recording and operation counting.
 
-`Tracer` records raw kernel events (for debugging).  `SpanLog` is the
-span-aware substrate of the observability layer (:mod:`repro.obs`): the
-protocol layers append *finished* named spans -- lock acquisitions, epoch
+`SpanLog` is the span-aware substrate of the observability layer
+(:mod:`repro.obs`): the protocol layers append *finished* named spans -- lock acquisitions, epoch
 durations, put/get/AMO issue-to-completion windows -- on the simulated
 clock.  Recording is pure observation (list appends; nothing is ever
 scheduled), so instrumented runs are bit-identical to uninstrumented
@@ -17,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = ["Tracer", "OpCounters", "SpanRecord", "SpanLog"]
+__all__ = ["OpCounters", "SpanRecord", "SpanLog"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,10 +44,9 @@ class SpanRecord:
 class SpanLog:
     """Append-only log of finished spans with bounded memory.
 
-    Appends past ``limit`` are counted in ``dropped`` instead of stored,
-    mirroring :class:`Tracer`'s truncation contract.  Append order is the
-    (deterministic) order protocol code closed the spans, so exports are
-    reproducible without sorting by insertion time.
+    Appends past ``limit`` are counted in ``dropped`` instead of stored.
+    Append order is the (deterministic) order protocol code closed the
+    spans, so exports are reproducible without sorting by insertion time.
     """
 
     def __init__(self, limit: int = 500_000) -> None:
@@ -75,41 +73,6 @@ class SpanLog:
                 ts_ns: int, args: dict | None = None) -> None:
         """Record a zero-duration mark."""
         self.add(track, tid, name, cat, ts_ns, ts_ns, args)
-
-
-class Tracer:
-    """Optional raw event recorder; install with ``env.tracer = Tracer()``.
-
-    Besides kernel events, the fault injector feeds injected-fault and
-    recovery records (``fault:drop``, ``fault:retransmit``, ...) into the
-    same timeline, so a trace of a faulty run shows where time went:
-    which packets were lost, when the NIC stalled, and how often each
-    transport retransmitted.
-    """
-
-    def __init__(self, limit: int = 1_000_000) -> None:
-        self.records: list[tuple[int, str]] = []
-        self.fault_counts: Counter = Counter()
-        self.limit = limit
-        self.dropped = 0
-
-    def record(self, now: int, event) -> None:
-        if len(self.records) < self.limit:
-            self.records.append((now, event.name or type(event).__name__))
-        else:
-            self.dropped += 1
-
-    def record_fault(self, now: int, kind: str, detail: str = "") -> None:
-        # Fault counters aggregate past the truncation limit: the record
-        # stream is bounded, the statistics are not.
-        self.fault_counts[kind] += 1
-        if len(self.records) < self.limit:
-            label = f"fault:{kind}"
-            if detail:
-                label += f" {detail}"
-            self.records.append((now, label))
-        else:
-            self.dropped += 1
 
 
 @dataclass

@@ -3,7 +3,7 @@
 ``Environment.run(fast=True)`` (the default) must process the exact same
 event schedule as the reference ``step()`` loop -- same event count, same
 final clock, same process return values -- while recycling ``yield
-env.timeout(d)`` objects and skipping tracer/watchdog branches.  These
+env.timeout(d)`` objects and folding the watchdog into one trip compare.  These
 tests pin the bit-identity contract and the recycling/detach invariants
 DESIGN.md documents.
 """
@@ -12,7 +12,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import URGENT, Environment, Timeout
-from repro.sim.trace import Tracer
 
 
 def _mixed_workload(env, log):
@@ -130,20 +129,6 @@ def test_shared_timeout_not_recycled():
 
     env.process(waiter(), name="w")
     env.run(fast=True)
-    assert env._timeout_pool == []
-
-
-def test_tracer_disables_fast_path():
-    env = Environment()
-    env.tracer = Tracer()
-
-    def spin():
-        for _ in range(5):
-            yield env.timeout(2)
-
-    env.process(spin(), name="spin")
-    env.run(fast=True)         # must silently take the step loop
-    assert len(env.tracer.records) == env.events_processed
     assert env._timeout_pool == []
 
 

@@ -1,39 +1,41 @@
-"""Kernel generation 2: golden bit-identity, batched delivery, tie-breaks.
+"""Kernel generation 2: golden bit-identity, delivery order, tie-breaks.
 
 Three contracts from DESIGN.md's "Kernel generation 2" section:
 
 * the front-slot scheduler (``run(fast=True)``, the default) and the
   pure-heap legacy oracle (``SimConfig(scheduler="legacy")``) process
   the exact same ``(when, priority, seq)`` schedule -- asserted end to
-  end over every demo workload and over a faulty (drop/corrupt/delay)
-  run, and pinned against the pre-gen-2 golden schedules;
-* batched same-edge delivery never changes per-packet delivery *times*
-  or their order -- it only merges same-tick kernel events into one
-  carrier (so batched runs process strictly fewer events when batches
-  form);
+  end over every demo workload, a faulty run exercising every resilient
+  DMAPP op, and a crash run, each pinned against a golden schedule;
+* packets on one edge that land on the same tick are delivered in issue
+  order, one kernel event each;
 * same-tick events drain in ``(priority, seq)`` FIFO order across the
   front-slot/heap boundary, including urgent events scheduled while the
   tick is already draining.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import (
     FaultConfig,
     FaultPlan,
     MachineConfig,
+    NicStall,
+    NodeCrash,
     SimConfig,
 )
 from repro.machine.network import Network
 from repro.machine.params import GeminiParams
 from repro.machine.topology import RankMap, Torus3D
 from repro.obs.workloads import WORKLOADS
+from repro.rma.enums import Op
 from repro.runtime.job import run_spmd
 from repro.sim.kernel import NORMAL, URGENT, Environment
 
 #: Pre-gen-2 golden schedules at seed 11, 4 ranks on one node (captured
-#: before the calendar scheduler / batched delivery existed; the same
-#: numbers are pinned by tests/obs/test_obs_integration.py).
+#: before the calendar scheduler existed; the same numbers are pinned by
+#: tests/obs/test_obs_integration.py).
 GOLDEN = {
     "putget": (11835, 502),
     "locks": (22876, 566),
@@ -41,12 +43,32 @@ GOLDEN = {
     "pscw": (16611, 302),
 }
 
+#: Faulty and crash schedules at seed 13, 4 ranks on 4 nodes:
+#: ``(sim_time_ns, events_processed, retransmits, faults)``.  The
+#: faulty run goes through every resilient DMAPP op, so it pins the
+#: order in which the shared op bodies and the retry hooks draw fates,
+#: jitter and noise.
+FAULTY_GOLDEN = {
+    "every_op": (1124140, 832, 77, {
+        "drops": 54, "corruptions": 23, "delays": 25, "stall_waits": 3,
+        "amo_replays_suppressed": 21, "deadline_failures": 0,
+        "crashed_nodes": []}),
+    "crash": (26200, 299, 0, {
+        "drops": 0, "corruptions": 0, "delays": 0, "stall_waits": 0,
+        "amo_replays_suppressed": 0, "deadline_failures": 0,
+        "crashed_nodes": [3]}),
+}
 
-def _run(name, *, scheduler="gen2", batch=True, faults=None, seed=11,
-         rpn=4):
+EVERY_OP_PLAN = FaultPlan(
+    drop_prob=0.15, corrupt_prob=0.05, delay_prob=0.1, delay_ns=5_000,
+    stalls=(NicStall(node=1, start_ns=20_000, duration_ns=30_000),))
+CRASH_PLAN = FaultPlan(crashes=(NodeCrash(node=3, time_ns=20_000),))
+
+
+def _run(name, *, scheduler="gen2", faults=None, seed=11, rpn=4):
     return run_spmd(
         WORKLOADS[name], 4,
-        machine=MachineConfig(ranks_per_node=rpn, batch_delivery=batch),
+        machine=MachineConfig(ranks_per_node=rpn),
         sim=SimConfig(seed=seed, scheduler=scheduler),
         faults=faults or FaultConfig())
 
@@ -66,15 +88,14 @@ def test_gen2_matches_legacy_schedule(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_legacy_and_unbatched_reproduce_golden_pins(name):
-    """Every scheduler/batching combination reproduces the pre-gen-2
-    golden schedule -- the refactor changed zero delivery times."""
+    """Both schedulers reproduce the pre-gen-2 golden schedule -- the
+    refactor changed zero delivery times."""
     t_ns, events = GOLDEN[name]
     for scheduler in ("gen2", "legacy"):
-        for batch in (True, False):
-            res = _run(name, scheduler=scheduler, batch=batch)
-            assert (res.sim_time_ns, res.events_processed) == (t_ns, events), \
-                f"{name}: scheduler={scheduler} batch={batch} drifted " \
-                f"from golden ({res.sim_time_ns}, {res.events_processed})"
+        res = _run(name, scheduler=scheduler)
+        assert (res.sim_time_ns, res.events_processed) == (t_ns, events), \
+            f"{name}: scheduler={scheduler} drifted " \
+            f"from golden ({res.sim_time_ns}, {res.events_processed})"
 
 
 def test_gen2_matches_legacy_faulty_run():
@@ -89,10 +110,35 @@ def test_gen2_matches_legacy_faulty_run():
     assert fast.stats["retransmits"] > 0  # the faults actually fired
 
 
-def test_faulty_run_batched_equals_unbatched():
-    plan = FaultPlan(drop_prob=0.2, delay_prob=0.1, delay_ns=5_000)
-    kw = dict(faults=FaultConfig(plan=plan), seed=13, rpn=1)
-    assert _sig(_run("putget", **kw)) == _sig(_run("putget", batch=False, **kw))
+def _every_op_prog(ctx):
+    """One pass over every resilient DMAPP op: put, get, CAS, FADD and a
+    streamed accumulate in a lock_all epoch, then a PSCW ring epoch
+    (its post is a NIC-chained ``amo_custom``)."""
+    win = yield from ctx.rma.win_allocate(256)
+    right = (ctx.rank + 1) % ctx.nranks
+    left = (ctx.rank - 1) % ctx.nranks
+    got = np.empty(64, np.uint8)
+    yield from win.lock_all()
+    yield from ctx.coll.barrier()
+    for i in range(4):
+        yield from win.put(np.full(64, ctx.rank + i, np.uint8), right, 0)
+        yield from win.flush(right)
+        yield from win.get(got, right, 0)
+        yield from win.flush(right)
+        yield from win.compare_and_swap(np.uint64(i), np.uint64(i + 1),
+                                        right, 128)
+        yield from win.fetch_and_op(np.uint64(1), right, 136)
+        yield from win.accumulate(np.ones(4, np.uint64), right, 144, Op.SUM)
+        yield from win.flush(right)
+    yield from win.unlock_all()
+    yield from ctx.coll.barrier()
+    yield from win.post([left])
+    yield from win.start([right])
+    yield from win.put(np.full(16, ctx.rank, np.uint8), right, 64)
+    yield from win.complete()
+    yield from win.wait()
+    yield from ctx.coll.barrier()
+    return int(got[0])
 
 
 def _crash_prog(ctx):
@@ -104,88 +150,71 @@ def _crash_prog(ctx):
     return "ok"
 
 
+def _faulty(name, scheduler="gen2"):
+    prog, plan = {"every_op": (_every_op_prog, EVERY_OP_PLAN),
+                  "crash": (_crash_prog, CRASH_PLAN)}[name]
+    return run_spmd(prog, 4, machine=MachineConfig(ranks_per_node=1),
+                    sim=SimConfig(seed=13, scheduler=scheduler),
+                    faults=FaultConfig(plan=plan))
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY_GOLDEN))
+def test_faulty_runs_reproduce_golden_pins(name):
+    """Every resilient op under drop/corrupt/delay/stall, and a node
+    crash, replay the pinned schedule and fault counters under both
+    schedulers."""
+    for scheduler in ("gen2", "legacy"):
+        res = _faulty(name, scheduler)
+        got = (res.sim_time_ns, res.events_processed,
+               res.stats["retransmits"], res.stats["faults"])
+        assert got == FAULTY_GOLDEN[name], \
+            f"{name}: scheduler={scheduler} drifted from golden {got}"
+
+
+def test_every_op_run_exercises_every_resilient_op():
+    res = _faulty("every_op")
+    kinds = res.stats["by_kind"]
+    for kind in ("put", "get", "amo:cas", "amo:add", "amo:custom",
+                 "amo-stream:add"):
+        assert kinds.get(kind, 0) > 0, kind
+    assert res.returns == [3, 4, 5, 6]
+
+
 def test_crash_run_gen2_matches_legacy():
     """A fail-stop node crash mid-run (interrupts, quarantine errors,
-    reaper process) must also be scheduler- and batching-independent."""
-    from repro.config import NodeCrash
-
-    plan = FaultPlan(crashes=(NodeCrash(node=3, time_ns=20_000),))
-
-    def go(scheduler="gen2", batch=True):
-        return run_spmd(
-            _crash_prog, 4,
-            machine=MachineConfig(ranks_per_node=1, batch_delivery=batch),
-            sim=SimConfig(seed=13, scheduler=scheduler),
-            faults=FaultConfig(plan=plan))
-
-    fast = go()
+    reaper process) must also be scheduler-independent."""
+    fast = _faulty("crash")
+    legacy = _faulty("crash", scheduler="legacy")
     sig = (fast.sim_time_ns, fast.events_processed,
            [type(r).__name__ for r in fast.returns])
-    for other in (go(scheduler="legacy"), go(batch=False)):
-        assert sig == (other.sim_time_ns, other.events_processed,
-                       [type(r).__name__ for r in other.returns])
+    assert sig == (legacy.sim_time_ns, legacy.events_processed,
+                   [type(r).__name__ for r in legacy.returns])
     assert any(isinstance(r, BaseException) for r in fast.returns)
 
 
 # ---------------------------------------------------------------------------
-# batched delivery property: identical per-packet times, fewer events
+# same-tick delivery: one event per packet, per-edge issue order
 # ---------------------------------------------------------------------------
-def _burst_net(batch):
-    """A network whose ejection is free: every same-edge packet issued at
-    the same instant lands on the same tick, forcing multi-packet
-    batches (the demo workloads serialize on ejection service and never
-    collide; zeroing the service params is how batches form at all)."""
+def test_same_edge_packets_deliver_in_issue_order():
+    """Packets whose ejection is free land on one tick; each is its own
+    kernel event, fired in issue order per edge."""
     env = Environment()
     params = GeminiParams(o_eject=0.0, nic_packet_gap=0.0,
                           amo_gap=0.0, amo_service=0.0)
-    torus = Torus3D((4, 1, 1))
-    rm = RankMap(nranks=4, ranks_per_node=1)
-    net = Network(env, torus, rm, params, batch_delivery=batch)
-    return env, net
-
-
-def _burst(batch, npkts=16, two_edges=False):
-    env, net = _burst_net(batch)
+    net = Network(env, Torus3D((4, 1, 1)), RankMap(nranks=4, ranks_per_node=1),
+                  params)
     deliveries = []
     times = []
-    for i in range(npkts):
-        # Injection is not charged, so all same-edge packets issued at
-        # t=0 share one delivery tick (one multi-packet batch per edge).
-        src = 2 if two_edges and i % 2 else 0
+    for i in range(16):
+        src = 2 if i % 2 else 0
         t, _ev = net.packet(src, 1, 8, charge_injection=False,
                             on_deliver=lambda now, i=i, s=src:
                             deliveries.append((now, s, i)))
         times.append(t)
     env.run()
-    return times, deliveries, env.events_processed
-
-
-def test_batched_delivery_bit_identical_per_edge():
-    """One edge, one tick: the full (time, src, index) delivery sequence
-    is identical batched vs unbatched, and 16 per-packet kernel events
-    collapse into 1 carrier."""
-    t_on, d_on, ev_on = _burst(True)
-    t_off, d_off, ev_off = _burst(False)
-    assert t_on == t_off          # computed delivery times
-    assert d_on == d_off          # observed delivery sequence
-    assert ev_off - ev_on == 16 - 1
-
-
-def test_batched_delivery_times_invariant_across_edges():
-    """Two edges landing on the same tick: per-packet delivery TIMES are
-    identical and each edge's packets fire in issue order; only the
-    cross-edge interleaving within the tick may differ (each carrier
-    fires its whole batch -- documented in DESIGN.md)."""
-    t_on, d_on, ev_on = _burst(True, two_edges=True)
-    t_off, d_off, ev_off = _burst(False, two_edges=True)
-    assert t_on == t_off
-    assert sorted(d_on) == sorted(d_off)  # same (time, src, idx) multiset
-    assert ev_off - ev_on == 16 - 2       # one carrier per (edge, tick)
-    same_edge = {}
-    for now, src, i in d_on:
-        same_edge.setdefault(src, []).append(i)
-    for ids in same_edge.values():
-        assert ids == sorted(ids), "batch fired out of issue order"
+    assert env.events_processed == 16
+    assert [now for now, _s, _i in deliveries] == sorted(times)
+    assert [i for _now, _s, i in deliveries] == list(range(16))
 
 
 # ---------------------------------------------------------------------------

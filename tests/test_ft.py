@@ -109,6 +109,26 @@ def test_crash_recovery_is_checker_clean():
         [v.describe() for v in res.check.violations]
 
 
+def test_obs_ft_crash_exports_chrome_trace():
+    """Obs on an FT crash run: the restore is a ``fault.ft-restore``
+    instant on an integer NIC track, and the Chrome export of the whole
+    trace succeeds."""
+    import json
+
+    from repro.config import ObsConfig
+    from repro.obs import chrome_trace_json
+
+    faults = ft_faults(crashes=(NodeCrash(2, 13_000),), mode="spare")
+    res = run_spmd_ft(NRANKS, INSERTS, seed=SimConfig.seed, faults=faults,
+                      obs=ObsConfig(enabled=True))
+    assert res.stats["ft"]["restores"] == 1
+    marks = [e for e in json.loads(chrome_trace_json(res.obs))["traceEvents"]
+             if e.get("cat") == "fault"]
+    assert all(type(e["tid"]) is int for e in marks)
+    assert {"crash", "detect", "ft-restore"} <= \
+        {e["name"].removeprefix("fault.") for e in marks}
+
+
 def test_soak_smoke():
     """Two seeded randomized schedules recover to the fault-free state
     (the CI job runs more)."""

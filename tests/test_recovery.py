@@ -14,6 +14,7 @@ unhardened code (checked by the tier-1 determinism suite).
 
 import json
 import os
+from functools import partial
 
 import pytest
 
@@ -296,19 +297,20 @@ def test_pscw_target_crash_fails_start_and_complete():
     assert res.returns[1] == "contained"
 
 
+def _free_with_dead_program(ctx):
+    win = yield from ctx.rma.win_allocate(256)
+    if ctx.rank == 1:
+        yield ctx.env.timeout(10_000_000)
+    yield ctx.env.timeout(100_000)
+    yield from win.free()
+    assert win.freed
+    return "freed"
+
+
 def test_win_free_degrades_with_dead_participant():
     """Collective win_free with a dead rank: survivors free locally
     (degraded) instead of hanging on the closing barrier."""
-    def program(ctx):
-        win = yield from ctx.rma.win_allocate(256)
-        if ctx.rank == 1:
-            yield ctx.env.timeout(10_000_000)
-        yield ctx.env.timeout(100_000)
-        yield from win.free()
-        assert win.freed
-        return "freed"
-
-    res = run_spmd(program, 3, machine=INTER,
+    res = run_spmd(_free_with_dead_program, 3, machine=INTER,
                    faults=crash_plan((1, 30_000)))
     assert res.returns[0] == "freed"
     assert res.returns[2] == "freed"
@@ -317,24 +319,51 @@ def test_win_free_degrades_with_dead_participant():
     assert res.stats["recovery"]["regions_reclaimed"] >= 1
 
 
+def _dynamic_attach_program(ctx):
+    win = yield from ctx.rma.win_create_dynamic()
+    if ctx.rank == 1:
+        seg = ctx.space.alloc(512, label="dyn")
+        yield from win.attach(seg)
+        yield ctx.env.timeout(10_000_000)
+    else:
+        yield ctx.env.timeout(200_000)
+    return "ok"
+
+
 def test_dynamic_regions_of_dead_rank_reclaimed():
     """A dead rank's dynamic attach list is deregistered by recovery."""
-    import numpy as np
-
-    def program(ctx):
-        win = yield from ctx.rma.win_create_dynamic()
-        if ctx.rank == 1:
-            seg = ctx.space.alloc(512, label="dyn")
-            yield from win.attach(seg)
-            yield ctx.env.timeout(10_000_000)
-        else:
-            yield ctx.env.timeout(200_000)
-        return "ok"
-
-    res = run_spmd(program, 2, machine=INTER,
+    res = run_spmd(_dynamic_attach_program, 2, machine=INTER,
                    faults=crash_plan((1, 50_000)))
     assert res.returns[0] == "ok"
     assert res.stats["recovery"]["regions_reclaimed"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# recovery marks in the obs trace
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("program,nranks,victim,kinds", [
+    (_exclusive_holder_program, 3, 1,
+     {"crash", "detect", "revoke", "lock-revoke", "reclaim"}),
+    (partial(_mcs_victim_program, victim=2), 4, 2, {"crash", "mcs-splice"}),
+    (_free_with_dead_program, 3, 1, {"degraded-free", "reclaim"}),
+    (_dynamic_attach_program, 2, 1, {"reclaim"}),
+], ids=["lock-revoke", "mcs-splice", "degraded-free", "dyn-reclaim"])
+def test_obs_crash_recovery_exports_chrome_trace(program, nranks, victim,
+                                                 kinds):
+    """An obs-on crash + recovery run exports a Chrome trace: every
+    recovery step is a ``fault.<kind>`` instant on an integer rank/NIC
+    track, and tracing leaves the schedule untouched."""
+    from repro.obs import trace_spmd
+
+    faults = crash_plan((victim, 50_000))
+    res, text = trace_spmd(program, nranks, machine=INTER, faults=faults)
+    marks = [e for e in json.loads(text)["traceEvents"]
+             if e.get("cat") == "fault"]
+    assert all(type(e["tid"]) is int for e in marks)
+    assert kinds <= {e["name"].removeprefix("fault.") for e in marks}
+    plain = run_spmd(program, nranks, machine=INTER, faults=faults)
+    assert (res.sim_time_ns, res.events_processed) == \
+        (plain.sim_time_ns, plain.events_processed)
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,34 @@ def test_node_crash_quarantines_and_fails_fast():
 # ---------------------------------------------------------------------------
 # observability
 # ---------------------------------------------------------------------------
+#: ``fault.<kind>`` obs instants -> the stats["faults"] counter they mark.
+_FAULT_INSTANTS = {"drop": "drops", "corrupt": "corruptions",
+                   "delay": "delays", "stall": "stall_waits",
+                   "amo-replay": "amo_replays_suppressed",
+                   "deadline": "deadline_failures"}
+
+
 def test_trace_surfaces_injected_faults():
+    """Every injected fault is a ``cat="fault"`` instant on the obs
+    timeline, one per counted fault, and recording them leaves the
+    schedule bit-identical."""
+    from collections import Counter
+
+    from repro.config import ObsConfig
+
+    off = run_spmd(_fig4_put_program, 2, machine=INTER, faults=DROP)
     res = run_spmd(_fig4_put_program, 2, machine=INTER, faults=DROP,
-                   sim=SimConfig(trace=True))
-    counts = res.stats["fault_trace_counts"]
-    assert counts.get("drop", 0) == res.stats["faults"]["drops"] > 0
-    assert counts.get("retransmit", 0) == res.stats["retransmits"] > 0
+                   obs=ObsConfig(enabled=True))
+    assert (res.sim_time_ns, res.events_processed) == \
+        (off.sim_time_ns, off.events_processed)
+    marks = Counter(s.name for s in res.obs.spans.spans if s.cat == "fault")
+    faults = res.stats["faults"]
+    for kind, counter in _FAULT_INSTANTS.items():
+        assert marks[f"fault.{kind}"] == faults[counter], kind
+    assert marks["fault.drop"] > 0
+    retransmits = sum(n for name, n in marks.items()
+                      if name.startswith("retransmit."))
+    assert retransmits == res.stats["retransmits"] > 0
 
 
 def test_amo_replays_are_deduplicated():
