@@ -13,10 +13,14 @@ What the curves show -- and the shape assertions pin:
 * uncontended, one-sided access wins the median: at 4 clients the RMA
   get path (direct remote read under an idle stripe lock) undercuts the
   comparator's request/reply round trip;
-* under Zipf-0.99 skew at 64 clients the *striped per-key lock*
-  saturates: the hottest owner's stripe serializes ~15% of all traffic,
-  throughput plateaus and the p99 explodes -- exactly the hotspot the
-  serving report's key-skew heatmap and lock-contention section are
+* each stripe lock's queue lives at the key's owner, so the store has
+  one queue per (owner, stripe) and keeps scaling past 16 clients:
+  0.76M -> 1.54M req/s from 16 to 64 clients;
+* under Zipf-0.99 skew at 64 clients it still saturates: the hottest
+  key's (owner, stripe) queue serializes ~15% of all traffic, so the
+  store trails the comparator (1.54M vs 2.76M req/s) and the p99
+  explodes (22 us at 16 clients, 2.4 ms at 64) -- exactly the hotspot
+  the serving report's key-skew heatmap and lock-contention section are
   built to diagnose.  The cheap-handler comparator keeps scaling here
   because its 60 ns handler is far shorter than a lock critical
   section; it models receiver *dispatch*, not receiver *interference*.
@@ -78,9 +82,12 @@ def test_kv_serve(benchmark, record_series, record_serve):
     # Both backends' aggregate throughput rises with client count ...
     for variant in VARIANTS:
         assert by_thr[variant].ys[-1] > by_thr[variant].ys[0]
-    # ... but the lock-striped store saturates under skew at p=64 (the
-    # hot stripe serializes) while the comparator keeps scaling.
-    assert by_thr["rma"].ys[-1] < 1.5 * by_thr["rma"].ys[-2]
+    # ... the owner-homed stripe queues keep the RMA store scaling from
+    # 16 to 64 clients (~2x) ...
+    assert by_thr["rma"].ys[-1] > 1.8 * by_thr["rma"].ys[-2]
+    # ... but under skew its hottest (owner, stripe) queue serializes,
+    # so it trails the comparator, which keeps scaling.
+    assert by_thr["rma"].ys[-1] < by_thr["mpi1"].ys[-1]
     assert by_thr["mpi1"].ys[-1] > 2 * by_thr["mpi1"].ys[-2]
     # Saturation is visible where it should be: the RMA tail at p=64
     # blows past its p=16 value by an order of magnitude.

@@ -2,8 +2,10 @@
 
 Extends the paper's Section 4.1 hashtable from insert-only to a full
 get/put/update map.  Every data-plane operation runs inside a striped
-MCS critical section (stripe = slot mod ``n_stripes``); the paper's
-lock-free idioms survive inside it:
+MCS critical section (stripe = slot mod ``n_stripes``) whose queue tail
+lives at the key's owner, so the store has ``p * n_stripes`` independent
+lock queues and a request only ever queues at the rank holding its data.
+The paper's lock-free idioms survive inside it:
 
 * slot claim:   ``CAS(0 -> key)`` on the slot's key word
 * cell claim:   ``FADD(+1)`` on the next-free heap counter (word 0)
@@ -162,7 +164,7 @@ class KvStore:
         self._check_key(key)
         owner, slot = self.layout.place(key, self.ctx.nranks)
         lock = self._lock_for(slot)
-        yield from lock.acquire()
+        yield from lock.acquire(owner)
         _kw, hops, loc, val = yield from self._locate(owner, slot, key)
         # Completes the reads before release AND bumps oseq so this
         # rank's next critical section is ordered after them.
@@ -178,7 +180,7 @@ class KvStore:
         value &= _MASK63
         owner, slot = self.layout.place(key, self.ctx.nranks)
         lock = self._lock_for(slot)
-        yield from lock.acquire()
+        yield from lock.acquire(owner)
         kw, hops, loc, _val = yield from self._locate(owner, slot, key)
         yield from self.win.flush(owner)  # order reads before the writes
         if loc is not None:
@@ -197,7 +199,7 @@ class KvStore:
         self._check_key(key)
         owner, slot = self.layout.place(key, self.ctx.nranks)
         lock = self._lock_for(slot)
-        yield from lock.acquire()
+        yield from lock.acquire(owner)
         kw, hops, loc, cur = yield from self._locate(owner, slot, key)
         yield from self.win.flush(owner)
         if loc is None:

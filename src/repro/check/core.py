@@ -349,11 +349,12 @@ class RaceChecker:
     def mcs_acquired(self, rank: int, key: tuple) -> None:
         """An MCS queue lock (:class:`repro.rma.mcs.McsLock`) was acquired
         by ``rank``.  ``key`` identifies the lock instance
-        (``(win_id, cell_base)``).  MCS locks are exclusive, so the
-        acquire is ordered after *every* prior release: merge the
-        accumulated release clock.  Without this edge, lock-ordered
-        read-modify-write sequences (the kvstore's CAS-update path) would
-        be reported as races."""
+        (``(win_id, cell_base, home)``: the same words homed at two ranks
+        are two independent queues, so they share no edge).  MCS locks
+        are exclusive, so the acquire is ordered after *every* prior
+        release: merge the accumulated release clock.  Without this edge,
+        lock-ordered read-modify-write sequences (the kvstore's CAS-update
+        path) would be reported as races."""
         self._acquire(rank, self._mcs.get(key))
 
     def mcs_released(self, rank: int, key: tuple) -> None:

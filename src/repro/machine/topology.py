@@ -130,6 +130,14 @@ class RankMap:
             raise ValueError(f"node {node} hosts no ranks")
         return range(lo, hi)
 
+    def node_peers(self, rank: int):
+        """Ranks sharing ``rank``'s local memory (``rank`` included), in
+        rank order: its placement block, or -- once rollback recovery has
+        re-homed anyone -- every rank :meth:`same_node` accepts."""
+        if self._overrides:
+            return [r for r in range(self.nranks) if self.same_node(rank, r)]
+        return self.ranks_on(rank // self.ranks_per_node)
+
     def same_node(self, a: int, b: int) -> bool:
         if self._overrides:
             return (self.node_of(a) == self.node_of(b)

@@ -7,11 +7,18 @@ bounds the traffic to O(1) remote operations per acquire/release because
 each waiter spins on a *local* flag that its predecessor sets exactly
 once.
 
-Layout (on a window created with :func:`mcs_alloc`, disp_unit 8):
+Layout (three control words per rank, starting at the lock's base):
 
-    word 0 at the master rank   tail: rank+1 of the last enqueued waiter
+    word 0 at the home rank     tail: rank+1 of the last enqueued waiter
     word 1 at every rank        next: rank+1 of my successor (0 = none)
     word 2 at every rank        flag: set by my predecessor on hand-off
+
+The *home* is chosen per acquisition (``acquire(home)``) and defaults
+to the window master.  Every rank has a tail word at the base, so one
+lock object names ``p`` independent queues, one per home: a store that
+homes each key's lock at the key's owner keeps the synchronization at
+the data, the way the paper keeps each target's lock word on that
+target and only ``lock_all`` touches the master.
 
 Acquire: SWAP my id into the tail; if there was a predecessor, publish
 myself as its ``next`` and spin locally until it hands off.  Release: if
@@ -35,7 +42,9 @@ class McsLock:
     """One MCS lock instance bound to a window's control structures.
 
     All ranks of the window share the lock; the tail word lives at the
-    window master.  Uses three control words per rank (O(1) memory).
+    acquisition's home rank (the window master unless ``acquire`` names
+    another).  Ranks acquiring at different homes never wait on each
+    other.  Uses three control words per rank (O(1) memory).
     """
 
     def __init__(self, win, cell_base: int | None = None) -> None:
@@ -47,12 +56,13 @@ class McsLock:
         self.win = win
         self.base = (CTRL_WORDS_BASE + win.params.pscw_ring_capacity
                      if cell_base is None else cell_base)
+        self.home = win.master  # tail's rank for the current acquisition
         self.holding = False
         self.remote_ops = 0  # for the boundedness tests
         # Recovery bookkeeping, written at AMO *delivery* time by the
         # guarded paths so it reflects what actually took effect remotely,
         # never this rank's possibly-stale view (repro.rma.recovery).
-        self._queued = False      # swap delivered at the master
+        self._queued = False      # swap delivered at the home
         self._pred = 0            # predecessor id (rank+1) the swap saw
         self._published = False   # next-pointer publication delivered
         self._token = False       # token held (acquired, or handed to us)
@@ -101,12 +111,15 @@ class McsLock:
             mutate()
 
     # ------------------------------------------------------------------
-    def acquire(self):
-        """Enqueue and wait; O(1) remote AMOs regardless of contention."""
+    def acquire(self, home: int | None = None):
+        """Enqueue at ``home``'s tail (default: the window master) and
+        wait; O(1) remote AMOs regardless of contention.  The matching
+        :meth:`release` uses the same home."""
         if self.holding:
             raise LockError("MCS lock is not reentrant")
         win = self.win
         ctx = win.ctx
+        self.home = win.master if home is None else home
         t0 = ctx.now
         if ctx.notifier is not None:
             yield from self._acquire_guarded()
@@ -118,15 +131,16 @@ class McsLock:
             # hand-off interval (uncontended acquires show the bare AMO
             # round trip).  Pure recording -- never perturbs schedules.
             obs.rank_span(ctx.rank, "mcs.acquire", t0, ctx.now, cat="lock",
-                          args={"win": win.win_id, "base": self.base})
+                          args={"win": win.win_id, "base": self.base,
+                                "home": self.home})
             obs.metrics.count("mcs.acquires", ctx.rank)
             obs.metrics.observe("mcs.acquire_wait_ns", ctx.rank,
                                 ctx.now - t0)
         ck = ctx.checker
         if ck is not None:
             # Happens-before: an exclusive MCS acquire is ordered after
-            # every prior release of this lock instance.
-            ck.mcs_acquired(ctx.rank, (win.win_id, self.base))
+            # every prior release of this lock instance at this home.
+            ck.mcs_acquired(ctx.rank, (win.win_id, self.base, self.home))
 
     def _acquire_plain(self):
         win = self.win
@@ -135,7 +149,7 @@ class McsLock:
         my = self._cells(ctx.rank)
         my.store(self.base + IDX_NEXT, 0)
         my.store(self.base + IDX_FLAG, 0)
-        pred = yield from self._amo(win.master, IDX_TAIL, "replace", me)
+        pred = yield from self._amo(self.home, IDX_TAIL, "replace", me)
         if pred != 0:
             # Publish myself to the predecessor, then spin on MY flag --
             # zero remote traffic while waiting (the MCS property).
@@ -160,7 +174,7 @@ class McsLock:
         ctx = win.ctx
         ck = ctx.checker
         if ck is not None:
-            ck.mcs_released(ctx.rank, (win.win_id, self.base))
+            ck.mcs_released(ctx.rank, (win.win_id, self.base, self.home))
         t0 = ctx.now
         if ctx.notifier is not None:
             yield from self._release_guarded()
@@ -169,7 +183,8 @@ class McsLock:
         obs = ctx.obs
         if obs is not None:
             obs.rank_span(ctx.rank, "mcs.release", t0, ctx.now, cat="lock",
-                          args={"win": win.win_id, "base": self.base})
+                          args={"win": win.win_id, "base": self.base,
+                                "home": self.home})
             obs.metrics.count("mcs.releases", ctx.rank)
 
     def _release_plain(self):
@@ -178,7 +193,7 @@ class McsLock:
         me = ctx.rank + 1
         my = self._cells(ctx.rank)
         if my.load(self.base + IDX_NEXT) == 0:
-            old = yield from self._amo(win.master, IDX_TAIL, "cas", me, 0)
+            old = yield from self._amo(self.home, IDX_TAIL, "cas", me, 0)
             if old == me:
                 self.holding = False
                 return
@@ -203,7 +218,7 @@ class McsLock:
         ctx = win.ctx
         me = ctx.rank + 1
         my = self._cells(ctx.rank)
-        tail_cells = self._cells(win.master)
+        tail_cells = self._cells(self.home)
         my.store(self.base + IDX_NEXT, 0)
         my.store(self.base + IDX_FLAG, 0)
         self._queued = False
@@ -221,7 +236,7 @@ class McsLock:
             return old
 
         try:
-            pred = yield from self._amo_custom(win.master, swap_mutate)
+            pred = yield from self._amo_custom(self.home, swap_mutate)
         except NodeCrashedError as exc:
             recovery.fail_acquire(ctx, exc, "mcs acquire")
         if pred != 0:
@@ -269,7 +284,7 @@ class McsLock:
         ctx = win.ctx
         me = ctx.rank + 1
         my = self._cells(ctx.rank)
-        tail_cells = self._cells(win.master)
+        tail_cells = self._cells(self.home)
         if my.load(self.base + IDX_NEXT) == 0:
 
             def cas_mutate():
@@ -280,9 +295,9 @@ class McsLock:
                 return old
 
             try:
-                old = yield from self._amo_custom(win.master, cas_mutate)
+                old = yield from self._amo_custom(self.home, cas_mutate)
             except NodeCrashedError:
-                # The master died: the queue is gone with it.  Clear local
+                # The home died: the queue is gone with it.  Clear local
                 # state; no survivor can be waiting on this lock's words.
                 self._queued = False
                 self._token = False

@@ -28,8 +28,9 @@ on its next-pointer).  Instead the dead rank's queue node becomes a
 token *forwarder*: a recovery process waits until the token reaches the
 dead node -- by the predecessor's normal hand-off, or immediately when
 the dead rank held the lock -- then forwards it to the successor or
-retires it by CAS-ing the tail back to empty.  Token conservation holds
-by construction and adjacent dead ranks chain naturally.
+retires it by CAS-ing the tail at the lock's home back to empty.  Token
+conservation holds by construction and adjacent dead ranks chain
+naturally.
 
 **Epoch fault containment.**  Fence and collective window free run their
 barrier in a child process raced against the rank's failure-notification
@@ -327,7 +328,7 @@ def _mcs_zombie(world, lock, rank: int):
     my = lock._cells(rank)
     me = rank + 1
 
-    # The dead rank may have enqueued (swap delivered at the master)
+    # The dead rank may have enqueued (swap delivered at the home)
     # without ever publishing itself to its predecessor -- finish the
     # publication so the predecessor's release can find this node.
     if lock._pred and not lock._published:
@@ -354,7 +355,7 @@ def _mcs_zombie(world, lock, rank: int):
         if succ != 0 and succ != me:
             lock._cells(succ - 1).apply(base + IDX_FLAG, "replace", 1)
             break
-        tail = lock._cells(lock.win.master)
+        tail = lock._cells(lock.home)
         if tail.cas(base + IDX_TAIL, me, 0) == me:
             break
         # A successor is mid-enqueue: wait for its publication.

@@ -76,8 +76,12 @@ class RmaContext:
         yield from self.ctx.coll.barrier()
         win.ctrl_refs = bb[key]
         if win.seg is not None:
-            for r, token in bb.get(xkey, {}).items():
-                if r != self.ctx.rank and self.ctx.same_node(r):
+            # Attach the node peers' tokens only: O(ranks per node), not a
+            # same-node test on each of the p published tokens.
+            tokens = bb.get(xkey, {})
+            for r in self.ctx.world.rank_map.node_peers(self.ctx.rank):
+                token = tokens.get(r)
+                if r != self.ctx.rank and token is not None:
                     win.xtokens[r] = self.ctx.xpmem.attach(token)
 
     # ------------------------------------------------------------------

@@ -9,7 +9,9 @@ test so the docs stay honest), and the properly ordered scan is clean.
 
 The kvstore's CAS-update mixes plain gets with CAS on the same words;
 the striped MCS lock is exactly what makes that well-defined.  The twin
-without the lock must be flagged as the atomic-vs-nonatomic race it is.
+without the lock must be flagged as the atomic-vs-nonatomic race it is,
+and so must the twin whose ranks take the same lock words at two
+different homes.
 """
 
 import numpy as np
@@ -133,6 +135,44 @@ def test_cas_update_without_lock_is_flagged():
         raise RuntimeError("completed without raising")
     # rerun purely for the checker verdict, swallowing rank errors
     res, ck = run_checked(_cas_update_program, 2, seed=11, locked=False)
+    assert not ck.clean
+    kinds = {frozenset((v.first.kind, v.second.kind))
+             for v in ck.violations}
+    assert frozenset(("get", "cas")) in kinds
+
+
+def _homed_cas_update_program(ctx, homes):
+    """One get + CAS on word 1 of rank 0 per rank, under the same MCS
+    lock words acquired at ``homes[rank]``.  The sections are 50 us
+    apart, so they never overlap in time: only the lock can order them."""
+    win = yield from ctx.rma.win_allocate(64, disp_unit=8)
+    lock = McsLock(win, cell_base=CTRL_WORDS_BASE
+                   + win.params.pscw_ring_capacity)
+    yield from win.lock_all()
+    yield from ctx.compute(50_000 * ctx.rank)
+    yield from lock.acquire(homes[ctx.rank])
+    got = yield from win.get_blocking(0, 1, 8, np.int64)
+    yield from win.flush(0)
+    yield from win.compare_and_swap(got[0], np.int64(got[0] + 1), 0, 1)
+    yield from win.flush(0)
+    yield from lock.release()
+    yield from ctx.coll.barrier()
+    yield from win.unlock_all()
+    yield from ctx.coll.barrier()
+
+
+def test_same_base_same_home_orders_sections():
+    _, ck = run_checked(_homed_cas_update_program, 2, seed=11,
+                        homes=(1, 1))
+    assert ck.clean, [v.describe() for v in ck.violations]
+
+
+def test_same_base_different_homes_is_flagged():
+    """Same cell_base, different homes: two independent queues, so no
+    happens-before edge.  The get/CAS pair on one word is a race even
+    though the sections never overlap in time."""
+    _, ck = run_checked(_homed_cas_update_program, 2, seed=11,
+                        homes=(0, 1))
     assert not ck.clean
     kinds = {frozenset((v.first.kind, v.second.kind))
              for v in ck.violations}

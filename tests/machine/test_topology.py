@@ -72,6 +72,22 @@ def test_rank_map_block_placement():
     assert not rm.same_node(31, 32)
 
 
+def test_node_peers_match_same_node_before_and_after_rehome():
+    """node_peers(r) is exactly the ranks same_node(r, .) accepts: the
+    placement block without re-homing, the (node, generation) cohort
+    after it."""
+    rm = RankMap(nranks=10, ranks_per_node=4)
+    assert list(rm.node_peers(5)) == [4, 5, 6, 7]
+    assert list(rm.node_peers(9)) == [8, 9]
+    rm.rehome(5, 2, generation=1)
+    rm.rehome(6, 2, generation=1)
+    for r in range(10):
+        assert list(rm.node_peers(r)) == [q for q in range(10)
+                                          if rm.same_node(r, q)]
+    assert list(rm.node_peers(5)) == [5, 6]
+    assert list(rm.node_peers(4)) == [4, 7]
+
+
 def test_rank_map_errors():
     rm = RankMap(nranks=4, ranks_per_node=2)
     with pytest.raises(ValueError):

@@ -191,3 +191,57 @@ def test_mcs_errors():
         yield from ctx.coll.barrier()
 
     run_spmd(program, 1, machine=INTER)
+
+
+def _two_holders_program(ctx, homes, log):
+    """Ranks 1 and 2 take the same lock words; rank 1 holds for 20 us.
+    ``homes[r]`` is the home rank r acquires at."""
+    from repro.rma.mcs import IDX_TAIL
+
+    win = yield from ctx.rma.win_allocate(64)
+    lock = McsLock(win)
+    yield from ctx.coll.barrier()
+    if ctx.rank in homes:
+        yield from ctx.compute(1_000 * ctx.rank)
+        yield from lock.acquire(homes[ctx.rank])
+        log[ctx.rank] = ctx.now
+        tails = {r: int(win.ctrl_refs[r].load(lock.base + IDX_TAIL))
+                 for r in range(ctx.nranks)}
+        yield from ctx.compute(20_000 if ctx.rank == 1 else 500)
+        yield from lock.release()
+        log[("tails", ctx.rank)] = tails
+    yield from ctx.coll.barrier()
+
+
+def test_mcs_different_homes_do_not_wait_on_each_other():
+    """Same cell_base, different homes: two independent queues.  Rank 2
+    acquires while rank 1 still holds; homed together, it waits."""
+    split, shared = {}, {}
+    run_spmd(_two_holders_program, 3, {1: 1, 2: 2}, split, machine=INTER)
+    run_spmd(_two_holders_program, 3, {1: 1, 2: 1}, shared, machine=INTER)
+    assert split[2] < split[1] + 20_000        # no wait on rank 1
+    assert shared[2] >= shared[1] + 20_000     # queued behind rank 1
+    # Each tail word lives at its home (both queues are live at once);
+    # the master's stays untouched.
+    assert split[("tails", 1)] == {0: 0, 1: 2, 2: 0}
+    assert split[("tails", 2)] == {0: 0, 1: 2, 2: 3}
+
+
+def test_mcs_default_home_is_the_master():
+    def program(ctx):
+        from repro.rma.mcs import IDX_TAIL
+
+        win = yield from ctx.rma.win_allocate(64)
+        lock = McsLock(win)
+        assert lock.home == win.master
+        yield from ctx.coll.barrier()
+        tail = None
+        if ctx.rank == 1:
+            yield from lock.acquire()
+            tail = int(win.ctrl_refs[win.master].load(lock.base + IDX_TAIL))
+            yield from lock.release()
+        yield from ctx.coll.barrier()
+        return lock.home, tail
+
+    res = run_spmd(program, 2, machine=INTER)
+    assert res.returns == [(0, None), (0, 2)]

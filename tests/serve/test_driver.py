@@ -1,6 +1,8 @@
 """Serving drivers end to end: bit-identity, checker cleanliness,
 backend model agreement, SLO exactness, and the CLI gates."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,31 @@ def test_report_sections(rma_result):
     assert hot["mcs_acquires"] > 0
     text = render_report(rep)
     assert "p99" in text and "hotspots" in text
+
+
+def test_throughput_is_over_the_serving_phase(rma_result):
+    """Served rate = requests / (last completion - first scheduled
+    arrival): the preload and set-up before the first arrival are not
+    serving time, but the whole clock stays in ``sim_time_ns``."""
+    rep = build_report(rma_result, SPEC, NRANKS)
+    rows = np.concatenate([v[0] for v in rma_result.returns])
+    phase_ns = int(rows[:, 1].max() - rows[:, 0].min())
+    assert phase_ns < rep["sim_time_ns"] == rma_result.sim_time_ns
+    assert rep["throughput_rps"] == round(SPEC.total_requests
+                                          / (phase_ns / 1e9), 1)
+
+
+def test_kvstore_locks_home_at_the_key_owner(rma_result):
+    """Every store op takes one stripe lock homed at its key's owner, so
+    the acquisitions per home equal the requests served per owner, and
+    requests to different owners never share a queue."""
+    homes = Counter(dict(s.args)["home"]
+                    for s in rma_result.obs.spans.spans
+                    if s.name == "mcs.acquire")
+    owners = build_report(rma_result, SPEC, NRANKS)["hotspots"][
+        "owner_requests"]
+    assert homes == {int(r): n for r, n in owners.items()}
+    assert set(homes) == set(range(NRANKS))
 
 
 def test_pow2_histogram_brackets_exact_p99(rma_result):

@@ -217,6 +217,69 @@ def test_mcs_adjacent_dead_waiters_chain():
     assert res.stats["recovery"]["queue_splices"] == 2
 
 
+MCS_HOME = 2  # a non-master home for the owner-homed crash tests
+
+
+def _mcs_homed_program(ctx, victim):
+    """``_mcs_victim_program`` on a queue homed at rank MCS_HOME, then a
+    second round: every survivor re-acquires at that home long after the
+    crash.  Returns the tail words (home, master) each survivor saw just
+    before its second acquire; rank 0 goes first, so it sees the queue
+    the recovery left behind."""
+    from repro.rma.mcs import IDX_TAIL
+
+    win = yield from ctx.rma.win_allocate(256)
+    lock = McsLock(win)
+    yield ctx.env.timeout(1_000 * ctx.rank)
+    try:
+        yield from lock.acquire(MCS_HOME)
+        if ctx.rank == victim:
+            yield ctx.env.timeout(10_000_000)
+        yield ctx.env.timeout(120_000 if ctx.rank == 0 else 500)
+        yield from lock.release()
+        yield ctx.env.timeout(400_000 + 1_000 * ctx.rank - ctx.now)
+        tails = tuple(int(win.ctrl_refs[r].load(lock.base + IDX_TAIL))
+                      for r in (MCS_HOME, win.master))
+        yield from lock.acquire(MCS_HOME)
+        yield ctx.env.timeout(500)
+        yield from lock.release()
+    except RankFailedError:
+        return ("failed", ctx.rank)
+    return ("ok", ctx.rank, tails)
+
+
+@pytest.mark.parametrize("revoke", [True, False], ids=["revoke", "no-revoke"])
+@pytest.mark.parametrize("victim,role", [(1, "hand-off"), (3, "retire")])
+def test_mcs_owner_homed_waiter_crash(victim, role, revoke):
+    """A waiter queued on a lock homed at a non-master rank dies.  With
+    revocation its zombie hands the token on (head waiter) or CAS-retires
+    the tail at the home (tail waiter), so every survivor acquires twice
+    and the master's tail word is never touched.  Without revocation
+    nothing is spliced: the dead waiter never hands off, so every
+    survivor ends up queued behind it and fails with a structured
+    RankFailedError instead of hanging."""
+    faults = FaultConfig(
+        plan=FaultPlan(crashes=(NodeCrash(node=victim, time_ns=50_000),)),
+        recovery=RecoveryConfig(revoke_locks=revoke))
+    res = run_spmd(_mcs_homed_program, 4, victim, machine=INTER,
+                   faults=faults)
+    assert isinstance(res.returns[victim], NodeCrashedError)
+    survivors = [r for r in range(4) if r != victim]
+    rec = res.stats["recovery"]
+    if revoke:
+        for r in survivors:
+            assert res.returns[r][:2] == ("ok", r), f"{role}: rank {r}"
+        # The first round left an empty queue at the home.
+        assert res.returns[0][2] == (0, 0)
+        assert all(res.returns[r][2][1] == 0 for r in survivors)
+        assert rec["queue_splices"] == 1
+    else:
+        assert [res.returns[r] for r in survivors] == \
+            [("failed", r) for r in survivors]
+        assert rec["queue_splices"] == 0
+        assert rec["acquisitions_failed"] == len(survivors)
+
+
 # ---------------------------------------------------------------------------
 # epoch fault containment
 # ---------------------------------------------------------------------------
