@@ -11,19 +11,17 @@ throughput is machine-independent).
 What the curves show -- and the shape assertions pin:
 
 * uncontended, one-sided access wins the median: at 4 clients the RMA
-  get path (direct remote read under an idle stripe lock) undercuts the
-  comparator's request/reply round trip;
-* each stripe lock's queue lives at the key's owner, so the store has
-  one queue per (owner, stripe) and keeps scaling past 16 clients:
-  0.76M -> 1.54M req/s from 16 to 64 clients;
-* under Zipf-0.99 skew at 64 clients it still saturates: the hottest
-  key's (owner, stripe) queue serializes ~15% of all traffic, so the
-  store trails the comparator (1.54M vs 2.76M req/s) and the p99
-  explodes (22 us at 16 clients, 2.4 ms at 64) -- exactly the hotspot
-  the serving report's key-skew heatmap and lock-contention section are
-  built to diagnose.  The cheap-handler comparator keeps scaling here
-  because its 60 ns handler is far shorter than a lock critical
-  section; it models receiver *dispatch*, not receiver *interference*.
+  get (one lock-free NO_OP read of the slot) undercuts the comparator's
+  request/reply round trip;
+* gets take no lock and writers queue only on their key's (owner,
+  stripe) MCS lock, so under Zipf-0.99 skew the store keeps pace with
+  the offered load all the way to 64 clients: 0.76M -> 2.76M req/s from
+  16 to 64 clients, tying the comparator (2,758,140 vs 2,757,566 req/s);
+* there is no saturation knee: the RMA p99 grows only ~1.6x from 16 to
+  64 clients (11.7 us -> 18.1 us) and stays under the comparator's at
+  64 clients (23.7 us), whose owners are interrupted by every remote
+  request.  The comparator's 60 ns handler models receiver *dispatch*,
+  not receiver *interference*, so its curve is the cheap-handler bound.
 """
 
 from repro.bench import BenchPoint, Series, format_series_table, run_points
@@ -32,8 +30,8 @@ from repro.bench.appbench import kv_serve_stats
 SERVE_PS = [4, 16, 64]
 VARIANTS = ("rma", "mpi1")
 TOTAL_REQUESTS = 6400
-RATE_HZ = 5e4   # per client; drives the RMA store into its hot-stripe
-                # saturation regime at p=64 (deterministically)
+RATE_HZ = 5e4   # per client; offers 3.2M req/s at p=64, where the
+                # locked-read store saturated (deterministically)
 SEED = 1
 
 
@@ -82,13 +80,14 @@ def test_kv_serve(benchmark, record_series, record_serve):
     # Both backends' aggregate throughput rises with client count ...
     for variant in VARIANTS:
         assert by_thr[variant].ys[-1] > by_thr[variant].ys[0]
-    # ... the owner-homed stripe queues keep the RMA store scaling from
-    # 16 to 64 clients (~2x) ...
-    assert by_thr["rma"].ys[-1] > 1.8 * by_thr["rma"].ys[-2]
-    # ... but under skew its hottest (owner, stripe) queue serializes,
-    # so it trails the comparator, which keeps scaling.
-    assert by_thr["rma"].ys[-1] < by_thr["mpi1"].ys[-1]
-    assert by_thr["mpi1"].ys[-1] > 2 * by_thr["mpi1"].ys[-2]
-    # Saturation is visible where it should be: the RMA tail at p=64
-    # blows past its p=16 value by an order of magnitude.
-    assert stats["rma"][64]["p99_ns"] > 10 * stats["rma"][16]["p99_ns"]
+    # ... with no lock on the read path the RMA store keeps pace with
+    # the offered load from 16 to 64 clients (3.64x, as the comparator)
+    # ...
+    assert by_thr["rma"].ys[-1] > 3.5 * by_thr["rma"].ys[-2]
+    assert by_thr["mpi1"].ys[-1] > 3.5 * by_thr["mpi1"].ys[-2]
+    # ... and ties the comparator under skew at 64 clients ...
+    assert by_thr["rma"].ys[-1] > 0.99 * by_thr["mpi1"].ys[-1]
+    # ... with no saturation knee: the RMA tail at p=64 stays within 2x
+    # of its p=16 value, and below the comparator's.
+    assert stats["rma"][64]["p99_ns"] < 2 * stats["rma"][16]["p99_ns"]
+    assert stats["rma"][64]["p99_ns"] < stats["mpi1"][64]["p99_ns"]

@@ -1,26 +1,36 @@
 """RMA-backed distributed key-value store (the ``repro.serve`` backend).
 
 Extends the paper's Section 4.1 hashtable from insert-only to a full
-get/put/update map.  Every data-plane operation runs inside a striped
-MCS critical section (stripe = slot mod ``n_stripes``) whose queue tail
-lives at the key's owner, so the store has ``p * n_stripes`` independent
-lock queues and a request only ever queues at the rank holding its data.
-The paper's lock-free idioms survive inside it:
+get/put/update map, built from its lock-free idioms:
 
 * slot claim:   ``CAS(0 -> key)`` on the slot's key word
 * cell claim:   ``FADD(+1)`` on the next-free heap counter (word 0)
-* chain link:   ``FADD(REPLACE)`` on the slot's head word
+* chain link:   ``REPLACE`` on the slot's head word
 * read-modify:  ``CAS(old -> new)`` on the value word (the CAS-update)
+* read:         ``NO_OP`` get-accumulate of a slot or cell's three words
 
-The MCS lock is what makes the *mixed* accesses well-defined: plain gets
-of slot/chain words and the atomics above would otherwise be
-atomic-vs-nonatomic races under the MPI-3 separate memory model.  The
-lock's happens-before edge (checker hooks ``mcs_acquired`` /
-``mcs_released``) orders cross-rank critical sections; within a rank,
-each section ends with a ``flush`` so the next section's operations are
-consecutive (oseq-ordered), not concurrent.  The word-0 FADD crosses
-stripe boundaries but is only ever touched by same-op SUM atomics, which
-MPI permits unordered.
+Every access to a word a reader can see is atomic, so reads need no
+lock: ``get`` is one NO_OP read of the slot's ``(key, value, head)``
+plus one per chain cell walked, with no flush or release.  NO_OP reads
+compose with concurrent CAS/REPLACE under the MPI-3 separate memory
+model, and the AMO engine applies each three-word read at one instant.
+
+Writers (``put``/``update``) still serialize per striped MCS lock
+(stripe = slot mod ``n_stripes``, queue tail at the key's owner), which
+orders their mixed REPLACE/CAS on one word; the lock's happens-before
+edge is the checker's ``mcs_acquired``/``mcs_released`` hook, and each
+section ends with a ``flush`` so the next writer sees its effects.
+Writers publish last, so a concurrent reader sees either the old state
+or the whole new entry, never a half-written one:
+
+* a slot claim writes the value, flushes, then CASes the key in;
+* a chain insert writes the whole cell ``(key, value, next=head)``,
+  flushes, then REPLACEs the slot head with the cell.
+
+Cells are never unlinked and ``next`` never changes once published, so
+a reader's chain walk cannot lose a key that was present before it
+started.  The word-0 FADD crosses stripe boundaries but is only ever
+touched by same-op SUM atomics, which MPI permits unordered.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from repro.rma.window import CTRL_WORDS_BASE
 __all__ = ["KvStore"]
 
 _MASK63 = (1 << 63) - 1
+_ZERO3 = np.zeros(3, dtype=np.int64)  # NO_OP operand: sizes the read
 
 
 class KvStore:
@@ -90,55 +101,55 @@ class KvStore:
         return self.locks[slot % self.n_stripes]
 
     def _read3(self, owner: int, word: int):
-        """Three consecutive words from ``owner``'s volume."""
-        got = yield from self.win.get_blocking(owner, word, 24, np.int64)
+        """Three consecutive words from ``owner``'s volume, read
+        atomically (one NO_OP get-accumulate)."""
+        got = yield from self.win.get_accumulate(_ZERO3, owner, word,
+                                                 Op.NO_OP)
         return int(got[0]), int(got[1]), int(got[2])
 
-    def _write_word(self, owner: int, word: int, value: int):
-        yield from self.win.put(np.array([value], dtype=np.int64),
-                                owner, word)
+    def _write(self, owner: int, word: int, *values: int):
+        """Atomically replace consecutive words, starting at ``word``."""
+        yield from self.win.accumulate(np.array(values, dtype=np.int64),
+                                       owner, word, Op.REPLACE)
 
     def _locate(self, owner: int, slot: int, key: int):
-        """Find ``key`` under the lock: (slot key word, chain hops,
-        value-word index or None, current value).  The caller must flush
-        before writing so these reads are oseq-ordered ahead of it."""
+        """Find ``key``: (slot key word, slot head, chain hops,
+        value-word index or None, current value)."""
         lay = self.layout
         kw, val, head = yield from self._read3(owner, lay.slot_key(slot))
         if kw == key:
-            return kw, 0, lay.slot_value(slot), val
+            return kw, head, 0, lay.slot_value(slot), val
         hops = 0
         cell = head
         while cell != 0:
             hops += 1
             ck, cv, nxt = yield from self._read3(owner, lay.heap_key(cell))
             if ck == key:
-                return kw, hops, lay.heap_value(cell), cv
+                return kw, head, hops, lay.heap_value(cell), cv
             cell = nxt
-        return kw, hops, None, 0
+        return kw, head, hops, None, 0
 
     def _insert_new(self, owner: int, slot: int, slot_key_word: int,
-                    key: int, value: int):
-        """Insert a key known (under the lock) to be absent.  Caller has
-        flushed its reads already."""
+                    head: int, key: int, value: int):
+        """Insert a key known (under the lock) to be absent, publishing
+        it last: the key word or the slot head is written only after the
+        entry behind it is complete at the target."""
         lay = self.layout
         win = self.win
         if slot_key_word == 0:
+            yield from self._write(owner, lay.slot_value(slot), value)
+            yield from win.flush(owner)
             old = yield from win.compare_and_swap(np.int64(0),
                                                   np.int64(key), owner,
                                                   lay.slot_key(slot))
             if int(old) != 0:
                 raise RuntimeError("kvstore: slot claim raced under lock")
-            yield from self._write_word(owner, lay.slot_value(slot), value)
             return "table"
         cell0 = yield from win.fetch_and_op(np.int64(1), owner, 0, Op.SUM)
         cell = lay.claim_cell(int(cell0))
-        yield from self._write_word(owner, lay.heap_key(cell), key)
-        yield from self._write_word(owner, lay.heap_value(cell), value)
-        old_head = yield from win.fetch_and_op(np.int64(cell), owner,
-                                               lay.slot_head(slot),
-                                               Op.REPLACE)
-        yield from self._write_word(owner, lay.heap_next(cell),
-                                    int(old_head))
+        yield from self._write(owner, lay.heap_key(cell), key, value, head)
+        yield from win.flush(owner)
+        yield from self._write(owner, lay.slot_head(slot), cell)
         return "heap"
 
     def _note(self, opname: str, owner: int, hops: int) -> None:
@@ -160,16 +171,12 @@ class KvStore:
     # data plane
     # ------------------------------------------------------------------
     def get(self, key: int):
-        """Value stored under ``key``, or None."""
+        """Value stored under ``key``, or None.  Lock-free: only NO_OP
+        reads, so it never queues behind (or holds up) a writer's lock."""
         self._check_key(key)
         owner, slot = self.layout.place(key, self.ctx.nranks)
-        lock = self._lock_for(slot)
-        yield from lock.acquire(owner)
-        _kw, hops, loc, val = yield from self._locate(owner, slot, key)
-        # Completes the reads before release AND bumps oseq so this
-        # rank's next critical section is ordered after them.
-        yield from self.win.flush(owner)
-        yield from lock.release()
+        _kw, _head, hops, loc, val = yield from self._locate(owner, slot,
+                                                             key)
         self._note("get", owner, hops)
         return val if loc is not None else None
 
@@ -181,13 +188,15 @@ class KvStore:
         owner, slot = self.layout.place(key, self.ctx.nranks)
         lock = self._lock_for(slot)
         yield from lock.acquire(owner)
-        kw, hops, loc, _val = yield from self._locate(owner, slot, key)
-        yield from self.win.flush(owner)  # order reads before the writes
+        kw, head, hops, loc, _val = yield from self._locate(owner, slot, key)
         if loc is not None:
-            yield from self._write_word(owner, loc, value)
+            yield from self._write(owner, loc, value)
             path = "update"
         else:
-            path = yield from self._insert_new(owner, slot, kw, key, value)
+            path = yield from self._insert_new(owner, slot, kw, head, key,
+                                               value)
+        # Completes the writes before release AND bumps oseq so this
+        # rank's next critical section is ordered after them.
         yield from self.win.flush(owner)
         yield from lock.release()
         self._note("put", owner, hops)
@@ -200,11 +209,10 @@ class KvStore:
         owner, slot = self.layout.place(key, self.ctx.nranks)
         lock = self._lock_for(slot)
         yield from lock.acquire(owner)
-        kw, hops, loc, cur = yield from self._locate(owner, slot, key)
-        yield from self.win.flush(owner)
+        kw, head, hops, loc, cur = yield from self._locate(owner, slot, key)
         if loc is None:
             new = delta & _MASK63
-            yield from self._insert_new(owner, slot, kw, key, new)
+            yield from self._insert_new(owner, slot, kw, head, key, new)
         else:
             new = (cur + delta) & _MASK63
             old = yield from self.win.compare_and_swap(np.int64(cur),

@@ -600,18 +600,16 @@ class ResilientDmappEndpoint(DmappEndpoint):
     # ------------------------------------------------------------------
     # transmission hooks: seeded fates + retransmission
     # ------------------------------------------------------------------
-    def _retry(self, tnode: int, kind: str, target_rank: int, attempt, *,
-               fail_fast: bool = True):
+    def _retry(self, tnode: int, kind: str, target_rank: int, attempt):
         """Run ``attempt(resend_floor)`` until it returns a completion.
 
         ``attempt`` draws its fates, transmits once and returns
         ``(inject_end, complete)`` with ``complete=None`` when the
         request, its effect or its ack was lost.  Returns the first
         attempt's ``inject_end`` (the CPU is charged for that one only)
-        and the completion time.  ``fail_fast`` gives up with
-        NodeCrashedError as soon as an attempt injects past the target's
-        crash (every later retransmit would inject even later); streamed
-        AMOs retry until the budget is spent.
+        and the completion time.  Gives up with NodeCrashedError as soon
+        as an attempt injects past the target's crash (every later
+        retransmit would inject even later).
         """
         inj = self.injector
         cfg = self.fault_config
@@ -642,7 +640,7 @@ class ResilientDmappEndpoint(DmappEndpoint):
             # or the ack went missing): the source NIC times out after the
             # op deadline and retransmits with capped, jittered backoff.
             ct = inj.crash_time(tnode)
-            if fail_fast and ct is not None and inj_end >= ct:
+            if ct is not None and inj_end >= ct:
                 raise NodeCrashedError(
                     tnode, ct,
                     f"{kind} from rank {self.rank} to rank "
@@ -729,5 +727,4 @@ class ResilientDmappEndpoint(DmappEndpoint):
                             + ack.extra_delay_ns))
             return window[1], None
 
-        return self._retry(tnode, kind, target_rank, attempt,
-                           fail_fast=False)
+        return self._retry(tnode, kind, target_rank, attempt)

@@ -4,7 +4,8 @@ Two paths, exactly as in foMPI:
 
 * **NIC fast path** for 8-byte integer elements with a DMAPP-supported
   operation (SUM/BAND/BOR/BXOR/REPLACE): streamed AMOs, giving
-  P_acc,sum = 28 ns/elem + 2.4 us (Figure 6a).
+  P_acc,sum = 28 ns/elem + 2.4 us (Figure 6a).  ``NO_OP`` -- the atomic
+  read -- rides the same path as a fetching add of 0.
 * **software fallback** for everything else (MIN/MAX/PROD, floats,
   non-8-byte types): "locks the remote window, gets the data, accumulates
   it locally, and writes it back".  Higher base cost (P_acc,min ~ 7.3 us)
@@ -84,7 +85,8 @@ def accumulate(win, data, target: int, target_disp: int, op: Op, *,
         seg, base = win._target_segment(target, toff, arr.nbytes)
         cells = SegmentCells(seg, 0, signed=arr.dtype.kind == "i")
         base_idx = (base + toff) // 8
-        operands = arr.ravel().astype(np.int64, copy=False)
+        operands = (np.zeros(arr.size, np.int64) if op is Op.NO_OP
+                    else arr.ravel().astype(np.int64, copy=False))
         hw = op.hw_name
         if ctx.same_node(target):
             old = yield from ctx.xpmem.amo_stream(cells, base_idx, hw,
@@ -200,7 +202,7 @@ def fetch_and_op(win, value, target: int, target_disp: int, op: Op):
         seg, base = win._target_segment(target, toff, 8)
         cells = SegmentCells(seg, 0, signed=arr.dtype.kind == "i")
         idx = (base + toff) // 8
-        operand = int(arr.astype(np.int64)[0])
+        operand = 0 if op is Op.NO_OP else int(arr.astype(np.int64)[0])
         if ctx.same_node(target):
             old = yield from ctx.xpmem.amo(cells, idx, op.hw_name, operand)
         else:

@@ -39,13 +39,15 @@ class Op(enum.Enum):
 
 #: Ops with a NIC AMO fast path for 8-byte integer data.  Gemini's AMO set
 #: has add/and/or/xor but no min/max/prod -- exactly why the paper's MIN
-#: curve takes the fallback protocol.
+#: curve takes the fallback protocol.  ``NO_OP`` is the atomic read: a
+#: fetching add of 0 on the AMO unit (the operand is ignored).
 _HW_MAP = {
     Op.SUM: "add",
     Op.BAND: "and",
     Op.BOR: "or",
     Op.BXOR: "xor",
     Op.REPLACE: "replace",
+    Op.NO_OP: "add",
 }
 
 HW_OPS = frozenset(_HW_MAP)

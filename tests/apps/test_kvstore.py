@@ -173,3 +173,78 @@ def test_cross_rank_puts_and_gets():
         assert got == expect
         merged.update(part)
     assert merged == expect
+
+
+# ----------------------------------------------------------------------
+# lock-free reads vs a concurrent insert: writers publish last
+# ----------------------------------------------------------------------
+RACE_RANKS = 8          # owner 0, readers 1..6 on its node, writer 7
+RACE_MACHINE = MachineConfig(ranks_per_node=RACE_RANKS - 1)
+RACE_LAYOUT = KvLayout(table_slots=1, heap_cells=16)
+RACE_WINDOW_NS = 40_000
+#: The readers share the owner's node, so each lock-free read is a CPU
+#: atomic of well under 0.1 us; started this far apart, together they
+#: sample the owner's memory every few ns -- far finer than the remote
+#: writer's round trips, so any instant at which the store holds a
+#: half-written entry is read.
+RACE_STAGGER_NS = 15
+#: keys owned by rank 0 (one slot, so every key after the first chains)
+RACE_KEYS = [k for k in range(1, 1000)
+             if RACE_LAYOUT.place(k, RACE_RANKS)[0] == 0][:3]
+
+
+def _race_insert(preload: dict[int, int], key: int, value: int,
+                 watch: int):
+    """Preload ``preload``, then the writer (the one rank off the
+    owner's node) puts ``key`` while the staggered readers spin
+    lock-free gets of ``watch`` for RACE_WINDOW_NS.  Returns the set of
+    values the readers saw and the final value of ``watch``."""
+    writer = RACE_RANKS - 1
+
+    def program(ctx):
+        store = KvStore(ctx, RACE_LAYOUT, n_stripes=1)
+        yield from store.setup()
+        if ctx.rank == writer:
+            for k, v in preload.items():
+                yield from store.put(k, v)
+        yield from store.win.flush_all()
+        yield from ctx.coll.barrier()
+        t0 = ctx.now
+        seen = []
+        if ctx.rank == writer:
+            yield from store.put(key, value)
+        elif ctx.rank > 0:
+            yield from ctx.compute(RACE_STAGGER_NS * ctx.rank)
+            while ctx.now < t0 + RACE_WINDOW_NS:
+                seen.append((yield from store.get(watch)))
+        yield from store.win.flush_all()
+        yield from ctx.coll.barrier()
+        final = yield from store.get(watch)
+        yield from store.close()
+        return seen, final
+
+    res = run_spmd(program, RACE_RANKS, machine=RACE_MACHINE)
+    for r in res.returns:
+        if isinstance(r, BaseException):
+            raise r
+    return ({v for seen, _ in res.returns for v in seen},
+            res.returns[0][1])
+
+
+def test_get_during_slot_claim_sees_none_or_the_whole_entry():
+    """The value lands before the key word is CASed in, so a concurrent
+    get of the claimed key returns None or the new value -- never the
+    empty value word (a torn 0)."""
+    key = RACE_KEYS[0]
+    assert _race_insert({}, key, 4242, key) == ({None, 4242}, 4242)
+
+
+def test_get_during_chain_insert_never_loses_a_present_key():
+    """The new cell ``(key, value, next=head)`` is complete at the
+    target before the slot head points at it, so a concurrent get never
+    walks into an empty cell: the chained key already present is found
+    on every read, and the new key reads None or its value."""
+    table_key, chained, new = RACE_KEYS
+    preload = {table_key: 1, chained: 2}
+    assert _race_insert(preload, new, 4343, chained) == ({2}, 2)
+    assert _race_insert(preload, new, 4343, new) == ({None, 4343}, 4343)

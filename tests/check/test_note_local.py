@@ -7,11 +7,11 @@ closes it by explicit declaration: an annotated unordered scan is
 *flagged*, its unannotated twin silently passes (the gap, pinned as a
 test so the docs stay honest), and the properly ordered scan is clean.
 
-The kvstore's CAS-update mixes plain gets with CAS on the same words;
-the striped MCS lock is exactly what makes that well-defined.  The twin
-without the lock must be flagged as the atomic-vs-nonatomic race it is,
-and so must the twin whose ranks take the same lock words at two
-different homes.
+A CAS-update that reads with plain gets mixes them with CAS on the
+same words; an MCS lock is exactly what makes that well-defined (the
+kvstore now reads with atomic NO_OPs instead).  The twin without the
+lock must be flagged as the atomic-vs-nonatomic race it is, and so must
+the twin whose ranks take the same lock words at two different homes.
 """
 
 import numpy as np
@@ -82,13 +82,13 @@ def test_note_local_rejects_bad_kind():
 
 
 # ----------------------------------------------------------------------
-# the kvstore CAS-update access pattern, with and without the MCS lock
+# a get + CAS update, with and without the MCS lock
 # ----------------------------------------------------------------------
 def _cas_update_program(ctx, locked: bool):
     """Both ranks read-modify word 1 of rank 0 via get + CAS -- the
-    kvstore update path distilled.  ``locked`` wraps each critical
-    section in the MCS lock (and flushes before release), which is what
-    the real store does."""
+    kvstore update path before its reads became atomic.  ``locked``
+    wraps each critical section in the MCS lock (and flushes before
+    release)."""
     win = yield from ctx.rma.win_allocate(64, disp_unit=8)
     lock = McsLock(win, cell_base=CTRL_WORDS_BASE
                    + win.params.pscw_ring_capacity)

@@ -6,13 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.apps.kvstore.layout import KvLayout
 from repro.config import MachineConfig, ObsConfig, SimConfig
 from repro.runtime.job import run_spmd
 from repro.serve.driver import (all_latencies, expected_contents,
                                 merged_contents, run_kv_serve)
 from repro.serve.slo import (build_report, exact_percentiles, render_report,
                              report_digest)
-from repro.serve.zipf import OP_GET, ServeSpec
+from repro.serve.zipf import OP_GET, ServeSpec, client_schedule
 
 SPEC = ServeSpec(nkeys=64, total_requests=600, seed=7)
 NRANKS = 4
@@ -68,16 +69,30 @@ def test_throughput_is_over_the_serving_phase(rma_result):
 
 
 def test_kvstore_locks_home_at_the_key_owner(rma_result):
-    """Every store op takes one stripe lock homed at its key's owner, so
-    the acquisitions per home equal the requests served per owner, and
-    requests to different owners never share a queue."""
+    """Writers take one stripe lock homed at their key's owner and gets
+    take none, so the acquisitions per home equal exactly the puts and
+    updates (preload included) addressed to that owner, and requests to
+    different owners never share a queue."""
     homes = Counter(dict(s.args)["home"]
                     for s in rma_result.obs.spans.spans
                     if s.name == "mcs.acquire")
-    owners = build_report(rma_result, SPEC, NRANKS)["hotspots"][
-        "owner_requests"]
-    assert homes == {int(r): n for r, n in owners.items()}
+    layout = KvLayout.default(max(1, SPEC.nkeys // NRANKS + 1))
+
+    def owner(key):
+        return layout.place(key + 1, NRANKS)[0]
+
+    writes = Counter(owner(k) for k in range(SPEC.nkeys))      # preload
+    writes.update(owner(int(key))
+                  for client in range(NRANKS)
+                  for _t, op, key, _v in client_schedule(SPEC, client,
+                                                         NRANKS)
+                  if op != OP_GET)
+    assert homes == writes
     assert set(homes) == set(range(NRANKS))
+    # Every other request an owner served is a get, which queued nowhere.
+    rep = build_report(rma_result, SPEC, NRANKS)
+    assert sum(rep["hotspots"]["owner_requests"].values()) \
+        == sum(writes.values()) + rep["ops"]["get"]
 
 
 def test_pow2_histogram_brackets_exact_p99(rma_result):

@@ -23,7 +23,7 @@ from repro.config import (
     SimConfig,
 )
 from repro.errors import DeadlineError, NodeCrashedError
-from repro.rma.enums import LockType
+from repro.rma.enums import LockType, Op
 
 INTER = MachineConfig(ranks_per_node=1)
 
@@ -286,6 +286,39 @@ def test_node_crash_quarantines_and_fails_fast():
     assert res.returns[0] == "survivor"
     assert isinstance(res.returns[1], NodeCrashedError)
     assert res.stats["faults"]["crashed_nodes"] == [1]
+
+
+def test_streamed_accumulate_to_crashing_target_fails_fast():
+    """A streamed accumulate injected just before its target crashes
+    reaches a dead AMO engine.  Like put/get/AMO, it gives up with
+    NodeCrashedError at the first retransmit that would inject past the
+    crash -- one retransmit, no retry storm, no DeadlineError."""
+    crash_ns = 200_000
+    faults = FaultConfig(plan=FaultPlan(
+        crashes=(NodeCrash(node=1, time_ns=crash_ns),)))
+
+    def program(ctx):
+        win = yield from ctx.rma.win_allocate(64, disp_unit=8)
+        yield from win.lock_all()
+        yield from ctx.coll.barrier()
+        if ctx.rank == 0:
+            # Injected before the crash, applied after it.
+            yield from ctx.compute(crash_ns - 500 - ctx.now)
+            t0 = ctx.now
+            with pytest.raises(NodeCrashedError) as exc:
+                yield from win.accumulate(np.ones(4, np.int64), 1, 0,
+                                          Op.SUM)
+            assert exc.value.node == 1
+            assert exc.value.crash_time_ns == crash_ns
+            return ctx.now - t0
+        yield from ctx.compute(10_000_000)  # killed mid-sleep
+        return "unreachable"
+
+    res = run_spmd(program, 2, machine=INTER, faults=faults)
+    assert res.returns[0] < faults.op_deadline_ns   # raised at issue
+    assert isinstance(res.returns[1], NodeCrashedError)
+    assert res.stats["retransmits"] == 1
+    assert res.stats["faults"]["deadline_failures"] == 0
 
 
 # ---------------------------------------------------------------------------
